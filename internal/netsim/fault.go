@@ -319,7 +319,7 @@ func (fs *faultState) updateEclipse(t float64, g *Graph, eclipseOutage bool) boo
 // when it falls inside the measurement window.
 func (l *Link) clearQueue(measure bool) {
 	if measure {
-		l.drops += len(l.q)
+		l.drops += l.queuedSegs()
 	}
 	l.q = nil
 	l.qBits = 0

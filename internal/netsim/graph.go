@@ -37,8 +37,9 @@ type Link struct {
 	Up       bool
 	nextFlip float64
 
-	// FIFO queue; headDone tracks partially-served bits of q[0].
-	q        []segment
+	// FIFO queue of segment runs; headDone tracks partially-served bits
+	// of the first segment of q[0].
+	q        []segRun
 	qBits    float64
 	headDone float64
 
@@ -543,9 +544,18 @@ func (g *Graph) adoptState(old *Graph) (vanishedSegs int) {
 	// Whatever is left in prev had no successor in the new topology; its
 	// buffered segments vanish with it.
 	for _, o := range prev {
-		vanishedSegs += len(o.q)
+		vanishedSegs += o.queuedSegs()
 	}
 	return vanishedSegs
+}
+
+// queuedSegs returns the number of segments buffered on the link.
+func (l *Link) queuedSegs() int {
+	n := 0
+	for _, r := range l.q {
+		n += r.n
+	}
+	return n
 }
 
 // linkName renders a link for reports.

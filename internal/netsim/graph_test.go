@@ -95,8 +95,9 @@ func TestAdoptStatePreservesQueuesAndFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.Links[0].q = []segment{{flow: 1, seq: 1, bits: 100}}
+	old.Links[0].q = []segRun{{segment{flow: 1, seq: 1, bits: 50}, 2}}
 	old.Links[0].qBits = 100
+	old.Links[0].headDone = 20
 	old.Links[2].Up = false
 	old.nodes[3].Up = false
 	fresh, err := BuildGraph(spec)
@@ -104,7 +105,7 @@ func TestAdoptStatePreservesQueuesAndFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh.adoptState(old)
-	if len(fresh.Links[0].q) != 1 || fresh.Links[0].qBits != 100 {
+	if l := fresh.Links[0]; l.queuedSegs() != 2 || l.qBits != 100 || l.headDone != 20 {
 		t.Error("queue lost across topology rebuild")
 	}
 	if fresh.Links[2].Up {
@@ -136,5 +137,89 @@ func TestGEOStarAssignsEverySatellite(t *testing.T) {
 		if g.dist[s] != 1 {
 			t.Errorf("satellite %d at distance %d, star should be one hop", s, g.dist[s])
 		}
+	}
+}
+
+// TestEnqueueAdmitsRunPrefix covers a queue limit that falls inside a run:
+// the link admits the longest prefix that fits, drops the rest one count
+// per segment, and joins the busy set only when it admitted something.
+func TestEnqueueAdmitsRunPrefix(t *testing.T) {
+	g, err := BuildGraph(TopologySpec{
+		Kind: ClusterTopology, Sats: 6, Cluster: isl.Ring,
+		Tech: isl.RFKaBand, QueueSec: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := g.Links[0]
+	l.QueueLimitBits = 25
+	g.enqueue(0, segRun{segment{flow: 1, seq: 1, bits: 10}, 4}, true)
+	if len(l.q) != 1 || l.q[0].seq != 1 || l.q[0].n != 2 || l.qBits != 20 {
+		t.Fatalf("queue %+v with %v bits, want one run of seqs 1–2 holding 20 bits", l.q, l.qBits)
+	}
+	if l.drops != 2 {
+		t.Errorf("drops = %d, want 2 (one per refused segment)", l.drops)
+	}
+	if len(g.busyIDs) != 1 || g.busyIDs[0] != 0 {
+		t.Errorf("busy set %v, want [0]", g.busyIDs)
+	}
+	// The full queue refuses a whole run; outside the measurement window
+	// the refusal is not counted.
+	g.enqueue(0, segRun{segment{flow: 1, seq: 5, bits: 10}, 3}, true)
+	g.enqueue(0, segRun{segment{flow: 1, seq: 8, bits: 10}, 3}, false)
+	if len(l.q) != 1 || l.qBits != 20 || l.drops != 5 {
+		t.Errorf("full queue: %d runs, %v bits, %d drops; want 1, 20, 5", len(l.q), l.qBits, l.drops)
+	}
+	// A link that admits nothing never joins the busy set.
+	g.Links[1].QueueLimitBits = 5
+	g.enqueue(1, segRun{segment{flow: 2, seq: 1, bits: 10}, 2}, true)
+	if len(g.Links[1].q) != 0 || g.Links[1].drops != 2 || len(g.busyIDs) != 1 {
+		t.Errorf("refused run left %d runs, %d drops, busy set %v", len(g.Links[1].q), g.Links[1].drops, g.busyIDs)
+	}
+}
+
+// TestServeSplitsHeadRunAcrossSteps covers a head run that a step's budget
+// ends inside: the completed segments leave as one run, the rest stay at
+// the head, and the partial service of the next segment carries over in
+// headDone to finish first in the following step.
+func TestServeSplitsHeadRunAcrossSteps(t *testing.T) {
+	l := &Link{To: 7, CapacityBps: 25, DelaySec: 0.5, QueueLimitBits: 1e9}
+	l.q = []segRun{{segment{flow: 1, seq: 1, bits: 10, born: 0.25}, 4}, {segment{flow: 1, seq: 5, bits: 10, born: 0.75}, 1}}
+	l.qBits = 50
+	type hop struct {
+		run segRun
+		to  int
+		due float64
+	}
+	var out []hop
+	deliver := func(run segRun, to int, due float64) { out = append(out, hop{run, to, due}) }
+
+	if served := l.serve(1, 1, true, deliver); served != 25 {
+		t.Errorf("step 1 served %v bits, want 25", served)
+	}
+	want := []hop{{segRun{segment{flow: 1, seq: 1, bits: 10, born: 0.25}, 2}, 7, 1.5}}
+	if len(out) != 1 || out[0] != want[0] {
+		t.Fatalf("step 1 delivered %+v, want %+v", out, want)
+	}
+	if len(l.q) != 2 || l.q[0].seq != 3 || l.q[0].n != 2 || l.headDone != 5 || l.qBits != 30 {
+		t.Fatalf("after step 1: queue %+v, headDone %v, qBits %v; want seqs 3–4 at the head, headDone 5, qBits 30",
+			l.q, l.headDone, l.qBits)
+	}
+
+	// Step 2: 5 bits finish seq 3, 10 finish seq 4, 10 finish seq 5.
+	out = out[:0]
+	if served := l.serve(2, 1, true, deliver); served != 25 {
+		t.Errorf("step 2 served %v bits, want 25", served)
+	}
+	want = []hop{
+		{segRun{segment{flow: 1, seq: 3, bits: 10, born: 0.25}, 2}, 7, 2.5},
+		{segRun{segment{flow: 1, seq: 5, bits: 10, born: 0.75}, 1}, 7, 2.5},
+	}
+	if len(out) != 2 || out[0] != want[0] || out[1] != want[1] {
+		t.Fatalf("step 2 delivered %+v, want %+v", out, want)
+	}
+	if len(l.q) != 0 || l.headDone != 0 || l.qBits != 0 || l.sentBits != 50 {
+		t.Errorf("after step 2: %d runs, headDone %v, qBits %v, sentBits %v; want an empty queue and 50 bits sent",
+			len(l.q), l.headDone, l.qBits, l.sentBits)
 	}
 }

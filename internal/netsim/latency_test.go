@@ -110,10 +110,12 @@ func TestNetsimLatencyHistogramTracksExact(t *testing.T) {
 // mirroring sched's TestSimulateAllocsMemoryFlat: 10× the offered rate
 // (10× the segments through the same fault schedule — faults draw only on
 // the step clock, not the traffic) must not allocate meaningfully more.
-// Before the histogram accumulator, the value-typed outstanding map, and
-// in-place queue compaction, the latency slice, per-segment txState
-// pointers, and reslice-forward queue all grew allocations linearly with
-// offered load.
+// Latency goes into a fixed-bucket histogram, the transport window is a
+// reused deque, and link queues and the in-flight list hold one entry per
+// segment run, compacted in place, so only the window's length grows with
+// the offered rate; a per-segment latency slice, per-segment window
+// entries or per-segment queue growth would show up here as allocations
+// linear in offered load.
 func TestNetsimRunAllocsFlat(t *testing.T) {
 	run := func(rateScale float64) func() {
 		sc := faultHeavyScenario()

@@ -222,10 +222,9 @@ func TestAdoptStateCountsVanishedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue three segments on a span-1 satellite link and one on a link
-	// that survives any ring rebuild of the same spec.
-	old.Links[0].q = []segment{{seq: 1, bits: 10}, {seq: 2, bits: 10}, {seq: 3, bits: 10}}
-	old.Links[0].qBits = 30
+	// Queue five segments in two runs on a span-1 satellite link.
+	old.Links[0].q = []segRun{{segment{seq: 1, bits: 10}, 3}, {segment{seq: 7, bits: 10}, 2}}
+	old.Links[0].qBits = 50
 
 	same, err := BuildGraph(ringSpec)
 	if err != nil {
@@ -234,8 +233,8 @@ func TestAdoptStateCountsVanishedSegments(t *testing.T) {
 	if dropped := same.adoptState(old); dropped != 0 {
 		t.Errorf("same-spec rebuild reported %d vanished segments, want 0", dropped)
 	}
-	if len(same.Links[0].q) != 3 {
-		t.Errorf("same-spec rebuild lost the adopted queue: %d segments", len(same.Links[0].q))
+	if n := same.Links[0].queuedSegs(); n != 5 {
+		t.Errorf("same-spec rebuild lost the adopted queue: %d segments", n)
 	}
 
 	// K=4 replaces every span-1 satellite link with span-2 links, so the
@@ -251,8 +250,23 @@ func TestAdoptStateCountsVanishedSegments(t *testing.T) {
 			t.Fatalf("link %v survived the K=4 rebuild; pick a different victim", key)
 		}
 	}
-	if dropped := wide.adoptState(old); dropped != 3 {
-		t.Errorf("K=4 rebuild reported %d vanished segments, want 3", dropped)
+	if dropped := wide.adoptState(old); dropped != 5 {
+		t.Errorf("K=4 rebuild reported %d vanished segments, want 5", dropped)
+	}
+
+	// A satellite failure purges the same queue: drops count segments,
+	// not runs, and only inside the measurement window.
+	l := old.Links[0]
+	l.headDone = 4
+	l.clearQueue(true)
+	if l.drops != 5 || len(l.q) != 0 || l.qBits != 0 || l.headDone != 0 {
+		t.Errorf("clearQueue left drops=%d, %d runs, qBits=%v, headDone=%v; want 5 drops and an empty queue",
+			l.drops, len(l.q), l.qBits, l.headDone)
+	}
+	l.q = []segRun{{segment{seq: 9, bits: 10}, 4}}
+	l.clearQueue(false)
+	if l.drops != 5 || len(l.q) != 0 {
+		t.Errorf("warm-up purge counted drops (%d) or kept the queue (%d runs)", l.drops, len(l.q))
 	}
 }
 
@@ -264,15 +278,15 @@ func TestAdoptStateCountsVanishedSegments(t *testing.T) {
 func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 	cfg := TransportConfig{RTOSec: 1, Backoff: 2, MaxAttempts: 1}
 	s := newSource(1, 1e6, 1e6, cfg)
-	var emitted []segment
-	s.generate(0, 2, true, func(seg segment) { emitted = append(emitted, seg) })
-	if len(emitted) != 2 {
-		t.Fatalf("generated %d segments, want 2", len(emitted))
+	var emitted []segRun
+	s.generate(0, 2, true, func(run segRun) { emitted = append(emitted, run) })
+	if len(emitted) != 1 || emitted[0].n != 2 {
+		t.Fatalf("generated %+v, want one run of 2 segments", emitted)
 	}
 
 	// Segment 1 times out and is abandoned (MaxAttempts=1), then its copy
 	// straggles in — twice.
-	_, aband := s.expire(5, true, func(segment) { t.Fatal("MaxAttempts=1 must not retransmit") })
+	_, aband := s.expire(5, true, func(segRun) { t.Fatal("MaxAttempts=1 must not retransmit") })
 	if aband != 2 {
 		t.Fatalf("expire abandoned %d segments, want 2", aband)
 	}
@@ -286,13 +300,32 @@ func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 	// A delivered segment's extra copy is a true duplicate, before and
 	// after the window trims past it.
 	s2 := newSource(2, 1e6, 1e6, cfg)
-	var segs []segment
-	s2.generate(0, 1, true, func(seg segment) { segs = append(segs, seg) })
-	if got := s2.ack(segs[0].seq); got != ackDelivered {
+	var runs []segRun
+	s2.generate(0, 1, true, func(run segRun) { runs = append(runs, run) })
+	if got := s2.ack(runs[0].seq); got != ackDelivered {
 		t.Fatalf("first delivery classified %v, want ackDelivered", got)
 	}
-	if got := s2.ack(segs[0].seq); got != ackDuplicate {
+	if got := s2.ack(runs[0].seq); got != ackDuplicate {
 		t.Errorf("re-delivery classified %v, want ackDuplicate", got)
+	}
+
+	// A run reaching a sink is classified segment by segment: seq 1 was
+	// abandoned (late), seq 2 already delivered (duplicate), seqs 3–4 are
+	// still outstanding (delivered). Only the sequence numbers matter to
+	// the source; the run's birth time is the latency origin.
+	s3 := newSource(3, 1e6, 1e6, cfg)
+	s3.generate(0, 2, true, func(segRun) {})
+	s3.ack(2)
+	if _, aband := s3.expire(5, true, func(segRun) {}); aband != 1 {
+		t.Fatalf("expire abandoned %d segments, want 1", aband)
+	}
+	s3.generate(5, 2, true, func(segRun) {})
+	delivered, late, dups := s3.ackRun(segRun{segment{flow: 3, seq: 1, bits: 1e6}, 4})
+	if delivered != 2 || late != 1 || dups != 1 {
+		t.Errorf("mixed run classified %d delivered / %d late / %d duplicate, want 2/1/1", delivered, late, dups)
+	}
+	if delivered, late, dups := s3.ackRun(segRun{segment{flow: 3, seq: 1, bits: 1e6}, 4}); delivered+late != 0 || dups != 4 {
+		t.Errorf("repeat of the run classified %d/%d/%d, want 4 duplicates", delivered, late, dups)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 	"spacedc/internal/units"
 )
 
-// arrival is a segment in flight on a link, due at the far end after the
-// propagation delay.
+// arrival is a run of segments in flight on a link, due together at the
+// far end after the propagation delay.
 type arrival struct {
 	due float64
-	seg segment
+	run segRun
 	to  int
 }
 
@@ -46,12 +46,14 @@ func Run(scenario Scenario) (Result, error) {
 	fs := newFaultState(sc.Faults, sc.Topology, g, rng)
 	eclipseOutage := sc.Faults.EclipseOutage && sc.Topology.Tech.Optical
 
+	// srcOf maps a node ID (a segment's flow) to its source. Epoch rebuilds
+	// keep the scenario's node numbering, so the table never goes stale.
 	sources := make([]*source, 0, len(g.Sources))
-	srcByNode := make(map[int]*source, len(g.Sources))
+	srcOf := make([]*source, len(g.nodes))
 	for _, id := range g.Sources {
 		s := newSource(id, float64(sc.PerSat), sc.SegmentBits, sc.Transport)
 		sources = append(sources, s)
-		srcByNode[id] = s
+		srcOf[id] = s
 	}
 
 	res := Result{Name: sc.Name, MeasuredSec: sc.DurationSec - sc.WarmupSec}
@@ -71,56 +73,46 @@ func Run(scenario Scenario) (Result, error) {
 	// the end, where -metrics runs expose the full distribution.
 	lat := obs.NewHistogram(obs.LatencyBuckets)
 
-	// enqueue pushes seg onto nodeID's routed out-link, dropping it when
+	// enqueue pushes run onto nodeID's routed out-link, dropping it when
 	// the node is partitioned or the queue is full; the source's timer
 	// recovers either loss.
-	enqueue := func(nodeID int, seg segment, measure bool) {
+	enqueue := func(nodeID int, run segRun, measure bool) {
 		li := g.next[nodeID]
 		if li < 0 {
 			if measure {
-				res.NoRouteDrops++
+				res.NoRouteDrops += run.n
 			}
 			return
 		}
-		l := g.Links[li]
-		if l.qBits+seg.bits > l.QueueLimitBits {
-			if measure {
-				l.drops++
-			}
-			return
-		}
-		l.q = append(l.q, seg)
-		l.qBits += seg.bits
-		g.markBusy(li)
+		g.enqueue(li, run, measure)
 	}
 
-	// handleArrival delivers at a sink or forwards one hop onward.
+	// handleArrival delivers a run at a sink or forwards it one hop onward.
 	handleArrival := func(now float64, a arrival, measure bool) {
-		if g.isSink(a.to) {
-			src := srcByNode[a.seg.flow]
-			switch src.ack(a.seg.seq) {
-			case ackDelivered:
-				if measure {
-					res.DeliveredSegs++
-					deliBits += a.seg.bits
-					l := now - a.seg.born
-					lat.Observe(l)
-					if latencyTap != nil {
-						latencyTap(l)
-					}
-				}
-			case ackLateAbandoned:
-				if measure {
-					res.LateAbandoned++
-				}
-			default:
-				if measure {
-					res.Duplicates++
-				}
-			}
+		if !g.isSink(a.to) {
+			enqueue(a.to, a.run, measure)
 			return
 		}
-		enqueue(a.to, a.seg, measure)
+		delivered, late, dups := srcOf[a.run.flow].ackRun(a.run)
+		if !measure {
+			return
+		}
+		res.LateAbandoned += late
+		res.Duplicates += dups
+		if delivered == 0 {
+			return
+		}
+		res.DeliveredSegs += delivered
+		for k := 0; k < delivered; k++ {
+			deliBits += a.run.bits
+		}
+		l := now - a.run.born
+		lat.ObserveN(l, delivered)
+		if latencyTap != nil {
+			for k := 0; k < delivered; k++ {
+				latencyTap(l)
+			}
+		}
 	}
 
 	g.recomputeRoutes(eclipseOutage)
@@ -187,8 +179,8 @@ func Run(scenario Scenario) (Result, error) {
 
 		// (5) Sources: quantize generation into segments.
 		for _, s := range sources {
-			n := s.generate(now, sc.StepSec, g.nodes[s.node].Up, func(seg segment) {
-				enqueue(s.node, seg, measure)
+			n := s.generate(now, sc.StepSec, g.nodes[s.node].Up, func(run segRun) {
+				enqueue(s.node, run, measure)
 			})
 			if measure {
 				res.OfferedSegs += n
@@ -198,8 +190,8 @@ func Run(scenario Scenario) (Result, error) {
 
 		// (6) Transport timers: retransmit with exponential backoff.
 		for _, s := range sources {
-			retx, aband := s.expire(now, g.nodes[s.node].Up, func(seg segment) {
-				enqueue(s.node, seg, measure)
+			retx, aband := s.expire(now, g.nodes[s.node].Up, func(run segRun) {
+				enqueue(s.node, run, measure)
 			})
 			if measure {
 				res.Retransmits += retx
@@ -226,8 +218,8 @@ func Run(scenario Scenario) (Result, error) {
 				keptBusy = append(keptBusy, li)
 				continue
 			}
-			stepServed += l.serve(now, sc.StepSec, measure, func(seg segment, to int, due float64) {
-				inflight = append(inflight, arrival{due: due, seg: seg, to: to})
+			stepServed += l.serve(now, sc.StepSec, measure, func(run segRun, to int, due float64) {
+				inflight = append(inflight, arrival{due: due, run: run, to: to})
 			})
 			if len(l.q) == 0 {
 				g.busy[li] = false
@@ -302,42 +294,75 @@ func Run(scenario Scenario) (Result, error) {
 	return res, nil
 }
 
+// enqueue appends to link li the longest prefix of run that fits under the
+// queue limit, testing and adding one segment at a time as single-segment
+// enqueues would, and drops the rest (counted inside the measurement
+// window). The link joins the busy set only if it admitted something.
+func (g *Graph) enqueue(li int, run segRun, measure bool) {
+	l := g.Links[li]
+	admitted := 0
+	for admitted < run.n && !(l.qBits+run.bits > l.QueueLimitBits) {
+		l.qBits += run.bits
+		admitted++
+	}
+	if measure {
+		l.drops += run.n - admitted
+	}
+	if admitted > 0 {
+		run.n = admitted
+		l.q = append(l.q, run)
+		g.markBusy(li)
+	}
+}
+
 // serve drains up to capacity × dt bits from the FIFO head, handing each
-// completed segment to deliver with its propagation due time. Partial
-// service persists in headDone across steps. It returns the bits actually
-// served this step (independent of the measurement window).
+// run of segments it completes to deliver with their propagation due time.
+// A run the budget ends inside stays at the head with its completed
+// segments removed, and partial service of its first segment persists in
+// headDone across steps. The budget, served and sent-bit sums step one
+// segment at a time, exactly as single-segment service would. It returns
+// the bits actually served this step (independent of the measurement
+// window).
 //
-// Completed segments are popped by compacting the queue in place after the
-// drain loop rather than re-slicing the head forward: advancing the base
-// pointer shrinks the usable capacity, so the next enqueue burst
-// reallocated the whole backing array — an O(segments) allocation pattern
-// over fault-heavy runs. Compaction reuses the array, keeping steady-state
-// service allocation-free.
-func (l *Link) serve(now, dt float64, measure bool, deliver func(seg segment, to int, due float64)) float64 {
+// Finished runs are popped by compacting the queue in place after the
+// drain loop, so the backing array is reused and steady-state service
+// allocates nothing.
+func (l *Link) serve(now, dt float64, measure bool, deliver func(run segRun, to int, due float64)) float64 {
 	budget := l.CapacityBps * dt
 	served := 0.0
 	popped := 0
 	for budget > 0 && popped < len(l.q) {
-		head := l.q[popped]
-		need := head.bits - l.headDone
-		if need > budget {
-			l.headDone += budget
-			served += budget
-			budget = 0
+		head := &l.q[popped]
+		done := 0
+		for done < head.n && budget > 0 {
+			need := head.bits - l.headDone
+			if need > budget {
+				l.headDone += budget
+				served += budget
+				budget = 0
+				break
+			}
+			budget -= need
+			served += need
+			done++
+			l.qBits -= head.bits
+			if l.qBits < 0 {
+				l.qBits = 0
+			}
+			l.headDone = 0
+			if measure {
+				l.sentBits += head.bits
+			}
+		}
+		if done > 0 {
+			deliver(segRun{head.segment, done}, l.To, now+l.DelaySec)
+			head.seq += int64(done)
+			head.n -= done
+		}
+		if head.n > 0 {
 			break
 		}
-		budget -= need
-		served += need
 		popped++
-		l.qBits -= head.bits
-		if l.qBits < 0 {
-			l.qBits = 0
-		}
-		l.headDone = 0
-		if measure {
-			l.sentBits += head.bits
-		}
-		deliver(head, l.To, now+l.DelaySec)
 	}
 	if popped > 0 {
 		l.q = l.q[:copy(l.q, l.q[popped:])]

@@ -16,12 +16,27 @@ type segment struct {
 	born float64
 }
 
-// txState tracks one unacknowledged segment at its source.
+// segRun is n segments of one flow with consecutive sequence numbers
+// starting at seq, all of the same size and birth time. A source emits
+// each step's segments as one run and FIFO service keeps them contiguous
+// at every later hop, so queues and the in-flight list hold runs instead
+// of single segments. Every per-segment float operation (queue admission,
+// service, delivered bits, the latency sum) is still replayed once per
+// segment in the original order, so results do not depend on how
+// segments are grouped into runs.
+type segRun struct {
+	segment
+	n int
+}
+
+// txState tracks one unacknowledged segment at its source. The flow and
+// size come from the source and the sequence number from the slot index,
+// so an entry holds only what differs between segments.
 type txState struct {
-	seg      segment
-	live     bool // false once acked or abandoned
-	attempts int
+	born     float64
 	deadline float64
+	attempts int32
+	live     bool // false once acked or abandoned
 }
 
 // source is one EO satellite's flow endpoint: it quantizes the generation
@@ -103,14 +118,14 @@ func (s *source) slot(seq int64) int {
 	return i
 }
 
-// push appends a fresh segment to the window, compacting the dead prefix
+// push appends fresh segment seq to the window, compacting the dead prefix
 // in place once it reaches half the backing array so the append can reuse
 // capacity instead of growing it.
-func (s *source) push(tx txState) {
+func (s *source) push(seq int64, tx txState) {
 	if s.head == len(s.buf) {
 		s.buf = s.buf[:0]
 		s.head = 0
-		s.base = tx.seg.seq
+		s.base = seq
 	} else if s.head > 0 && s.head*2 >= len(s.buf) {
 		n := copy(s.buf, s.buf[s.head:])
 		s.buf = s.buf[:n]
@@ -134,10 +149,10 @@ func (s *source) trim() {
 	}
 }
 
-// generate accrues dt's worth of data, emits the segments it completes,
-// and returns how many. A failed satellite generates nothing (its sensor
-// is down with it).
-func (s *source) generate(now, dt float64, alive bool, emit func(segment)) int {
+// generate accrues dt's worth of data, emits the segments it completes as
+// one run, and returns how many. A failed satellite generates nothing (its
+// sensor is down with it).
+func (s *source) generate(now, dt float64, alive bool, emit func(segRun)) int {
 	if !alive {
 		return 0
 	}
@@ -146,10 +161,11 @@ func (s *source) generate(now, dt float64, alive bool, emit func(segment)) int {
 	for s.credit >= s.segmentBits {
 		s.credit -= s.segmentBits
 		s.seq++
-		seg := segment{flow: s.node, seq: s.seq, bits: s.segmentBits, born: now}
-		s.push(txState{seg: seg, live: true, attempts: 1, deadline: now + s.cfg.RTOSec})
-		emit(seg)
+		s.push(s.seq, txState{born: now, deadline: now + s.cfg.RTOSec, attempts: 1, live: true})
 		n++
+	}
+	if n > 0 {
+		emit(segRun{segment{flow: s.node, seq: s.seq - int64(n) + 1, bits: s.segmentBits, born: now}, n})
 	}
 	return n
 }
@@ -171,6 +187,23 @@ func (s *source) ack(seq int64) ackResult {
 		return ackLateAbandoned
 	}
 	return ackDuplicate
+}
+
+// ackRun acks each segment of a run that reached a sink, in sequence
+// order, and returns how many were deliveries, late arrivals of abandoned
+// segments, and duplicates.
+func (s *source) ackRun(run segRun) (delivered, late, dups int) {
+	for k := 0; k < run.n; k++ {
+		switch s.ack(run.seq + int64(k)) {
+		case ackDelivered:
+			delivered++
+		case ackLateAbandoned:
+			late++
+		default:
+			dups++
+		}
+	}
+	return delivered, late, dups
 }
 
 // noteAbandoned inserts seq into the sorted abandoned record.
@@ -199,12 +232,14 @@ func (s *source) dropAbandoned(seq int64) bool {
 // The window stores segments in sequence order, so walking it emits
 // retransmissions deterministically — the property Run and Sweep's
 // bit-identical promise rests on, which the old map-backed version had to
-// restore with a collect-and-sort pass every step.
-func (s *source) expire(now float64, alive bool, emit func(segment)) (retransmits, abandoned int) {
+// restore with a collect-and-sort pass every step. Retransmissions with
+// consecutive sequence numbers and one birth time leave as one run.
+func (s *source) expire(now float64, alive bool, emit func(segRun)) (retransmits, abandoned int) {
 	if now < s.nextDeadline {
 		return 0, 0
 	}
 	next := math.Inf(1)
+	var run segRun
 	for i := s.head; i < len(s.buf); i++ {
 		tx := &s.buf[i]
 		if !tx.live {
@@ -216,10 +251,11 @@ func (s *source) expire(now float64, alive bool, emit func(segment)) (retransmit
 			}
 			continue
 		}
-		if tx.attempts >= s.cfg.MaxAttempts {
+		seq := s.base + int64(i-s.head)
+		if int(tx.attempts) >= s.cfg.MaxAttempts {
 			abandoned++
 			tx.live = false
-			s.noteAbandoned(tx.seg.seq)
+			s.noteAbandoned(seq)
 			continue
 		}
 		if !alive {
@@ -229,16 +265,26 @@ func (s *source) expire(now float64, alive bool, emit func(segment)) (retransmit
 		} else {
 			tx.attempts++
 			rto := s.cfg.RTOSec
-			for a := 1; a < tx.attempts; a++ {
+			for a := int32(1); a < tx.attempts; a++ {
 				rto *= s.cfg.Backoff
 			}
 			tx.deadline = now + rto
 			retransmits++
-			emit(tx.seg)
+			if run.n > 0 && run.seq+int64(run.n) == seq && run.born == tx.born {
+				run.n++
+			} else {
+				if run.n > 0 {
+					emit(run)
+				}
+				run = segRun{segment{flow: s.node, seq: seq, bits: s.segmentBits, born: tx.born}, 1}
+			}
 		}
 		if tx.deadline < next {
 			next = tx.deadline
 		}
+	}
+	if run.n > 0 {
+		emit(run)
 	}
 	s.nextDeadline = next
 	s.trim()

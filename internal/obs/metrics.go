@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -89,25 +90,34 @@ func NewHistogram(bounds []float64) *Histogram {
 
 // Observe records one sample. NaN samples are dropped.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
+	h.ObserveN(v, 1)
+}
+
+// ObserveN records n samples of the same value v, leaving the histogram
+// bit-identical to n calls of Observe(v): the bucket search and the lock
+// happen once, but v is added to the running sum n times, because the
+// rounded sum of n additions differs from adding v·n. NaN samples and
+// n ≤ 0 are dropped.
+func (h *Histogram) ObserveN(v float64, n int) {
+	if h == nil || n <= 0 || math.IsNaN(v) {
 		return
 	}
-	// Linear scan: layouts are small (≤ ~24 buckets) and typically hit in
-	// the first few slots, which beats binary search at this size.
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
+	// Bucket i is the first whose upper bound is ≥ v; the overflow slot
+	// when v exceeds every bound. Binary search, since layouts reach 96
+	// buckets (LatencyBuckets).
+	i := sort.SearchFloat64s(h.bounds, v)
 	h.mu.Lock()
-	h.counts[i]++
+	h.counts[i] += int64(n)
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
 	if h.count == 0 || v > h.max {
 		h.max = v
 	}
-	h.count++
-	h.sum += v
+	h.count += int64(n)
+	for k := 0; k < n; k++ {
+		h.sum += v
+	}
 	h.mu.Unlock()
 }
 
@@ -268,11 +278,7 @@ func (h *Histogram) Merge(o *Histogram) {
 		if i < len(o.bounds) && o.bounds[i] < v {
 			v = o.bounds[i]
 		}
-		j := 0
-		for j < len(h.bounds) && v > h.bounds[j] {
-			j++
-		}
-		h.counts[j] += c
+		h.counts[sort.SearchFloat64s(h.bounds, v)] += c
 	}
 	if h.count == 0 || omin < h.min {
 		h.min = omin

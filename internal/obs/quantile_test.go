@@ -107,3 +107,61 @@ func TestQuantileEdges(t *testing.T) {
 		t.Error("nil min/max non-zero")
 	}
 }
+
+// TestObserveNMatchesRepeatedObserve asserts ObserveN(v, n) leaves a
+// histogram bit-identical to n calls of Observe(v) — counts, count, sum,
+// min, max and quantiles — and that the binary bucket search keeps the
+// upper-inclusive convention: a value equal to a bound lands in that
+// bound's bucket, one below the first bound in bucket 0, one above the
+// last in the overflow slot.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	type obsN struct {
+		v float64
+		n int
+	}
+	b := LatencyBuckets
+	last := b[len(b)-1]
+	sequences := map[string][]obsN{
+		"finite": {
+			{0.1, 7}, {b[0], 3}, {b[0] / 2, 5}, {b[40], 11}, {math.Nextafter(b[40], 0), 2},
+			{math.Nextafter(b[40], math.Inf(1)), 2}, {last, 4}, {2 * last, 6}, {0.3, 1000},
+			{0.1, 0}, {math.NaN(), 3},
+		},
+		"plus-inf":  {{1.7, 9}, {math.Inf(1), 3}, {0.02, 5}},
+		"minus-inf": {{math.Inf(-1), 2}, {1.7, 9}, {b[10], 4}},
+	}
+	for name, seq := range sequences {
+		batched, single := NewHistogram(b), NewHistogram(b)
+		want := make([]int64, len(b)+1)
+		for _, o := range seq {
+			batched.ObserveN(o.v, o.n)
+			for k := 0; k < o.n; k++ {
+				single.Observe(o.v)
+			}
+			if math.IsNaN(o.v) {
+				continue
+			}
+			i := 0 // reference linear scan: first bound ≥ v
+			for i < len(b) && o.v > b[i] {
+				i++
+			}
+			want[i] += int64(o.n)
+		}
+		got, ref := batched.snapshot(name), single.snapshot(name)
+		for i := range want {
+			if got.Counts[i] != want[i] || ref.Counts[i] != want[i] {
+				t.Errorf("%s: bucket %d holds %d (batched) / %d (single), want %d", name, i, got.Counts[i], ref.Counts[i], want[i])
+			}
+		}
+		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+		if got.Count != ref.Count || !same(got.Sum, ref.Sum) || !same(got.Min, ref.Min) || !same(got.Max, ref.Max) {
+			t.Errorf("%s: batched count/sum/min/max %d/%v/%v/%v, single %d/%v/%v/%v",
+				name, got.Count, got.Sum, got.Min, got.Max, ref.Count, ref.Sum, ref.Min, ref.Max)
+		}
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.95, 0.99, 1} {
+			if g, r := batched.Quantile(q), single.Quantile(q); !same(g, r) {
+				t.Errorf("%s: Quantile(%v) = %v batched, %v single", name, q, g, r)
+			}
+		}
+	}
+}
