@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"spacedc/internal/obs"
@@ -110,12 +111,13 @@ func TestNetsimLatencyHistogramTracksExact(t *testing.T) {
 // mirroring sched's TestSimulateAllocsMemoryFlat: 10× the offered rate
 // (10× the segments through the same fault schedule — faults draw only on
 // the step clock, not the traffic) must not allocate meaningfully more.
-// Latency goes into a fixed-bucket histogram, the transport window is a
-// reused deque, and link queues and the in-flight list hold one entry per
-// segment run, compacted in place, so only the window's length grows with
-// the offered rate; a per-segment latency slice, per-segment window
-// entries or per-segment queue growth would show up here as allocations
-// linear in offered load.
+// Latency goes into a fixed-bucket histogram, the transport window holds
+// one group per step and one bit per segment, and link queues and the
+// in-flight list hold one entry per segment run, all compacted in place,
+// so only the window's bitmap grows with the offered rate; a per-segment
+// latency slice or per-segment queue entries would show up here as
+// allocations linear in offered load. TestNetsimRunBytesFlat checks the
+// bytes, which a reused slice that doubles as it grows hides from a count.
 func TestNetsimRunAllocsFlat(t *testing.T) {
 	run := func(rateScale float64) func() {
 		sc := faultHeavyScenario()
@@ -130,5 +132,31 @@ func TestNetsimRunAllocsFlat(t *testing.T) {
 	high := testing.AllocsPerRun(3, run(10))
 	if high > low*1.5+64 {
 		t.Errorf("10× offered load cost %v allocs vs %v: latency/transport accounting is not memory-flat", high, low)
+	}
+}
+
+// TestNetsimRunBytesFlat is the byte-level twin of TestNetsimRunAllocsFlat.
+// A slice that doubles as it grows makes only logarithmically many
+// allocations, so the count check cannot see a window holding one entry
+// per outstanding segment, but its bytes grow with the offered load, and
+// so do the collections and page faults they cost. The window costs one
+// group per step and one bit per segment, so at 10× the fault-heavy load,
+// where lost segments hold windows open for most of the run, the whole run
+// must allocate less than a few bytes per offered segment.
+func TestNetsimRunBytesFlat(t *testing.T) {
+	sc := faultHeavyScenario()
+	sc.PerSat *= 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	r, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	perSeg := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(r.OfferedSegs)
+	t.Logf("%.2f bytes per offered segment over %d segments", perSeg, r.OfferedSegs)
+	if perSeg > 4 {
+		t.Errorf("run allocated %.1f bytes per offered segment: transport accounting is not memory-flat", perSeg)
 	}
 }

@@ -277,7 +277,7 @@ func TestAdoptStateCountsVanishedSegments(t *testing.T) {
 // duplicate.
 func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 	cfg := TransportConfig{RTOSec: 1, Backoff: 2, MaxAttempts: 1}
-	s := newSource(1, 1e6, 1e6, cfg)
+	s := newSource(1, &flowParams{1e6, 1e6, cfg})
 	var emitted []segRun
 	s.generate(0, 2, true, func(run segRun) { emitted = append(emitted, run) })
 	if len(emitted) != 1 || emitted[0].n != 2 {
@@ -299,7 +299,7 @@ func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 
 	// A delivered segment's extra copy is a true duplicate, before and
 	// after the window trims past it.
-	s2 := newSource(2, 1e6, 1e6, cfg)
+	s2 := newSource(2, &flowParams{1e6, 1e6, cfg})
 	var runs []segRun
 	s2.generate(0, 1, true, func(run segRun) { runs = append(runs, run) })
 	if got := s2.ack(runs[0].seq); got != ackDelivered {
@@ -313,7 +313,7 @@ func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 	// abandoned (late), seq 2 already delivered (duplicate), seqs 3–4 are
 	// still outstanding (delivered). Only the sequence numbers matter to
 	// the source; the run's birth time is the latency origin.
-	s3 := newSource(3, 1e6, 1e6, cfg)
+	s3 := newSource(3, &flowParams{1e6, 1e6, cfg})
 	s3.generate(0, 2, true, func(segRun) {})
 	s3.ack(2)
 	if _, aband := s3.expire(5, true, func(segRun) {}); aband != 1 {

@@ -46,14 +46,16 @@ func Run(scenario Scenario) (Result, error) {
 	fs := newFaultState(sc.Faults, sc.Topology, g, rng)
 	eclipseOutage := sc.Faults.EclipseOutage && sc.Topology.Tech.Optical
 
-	// srcOf maps a node ID (a segment's flow) to its source. Epoch rebuilds
-	// keep the scenario's node numbering, so the table never goes stale.
-	sources := make([]*source, 0, len(g.Sources))
+	// Sources sit side by side in one slice, since every step walks them
+	// all. srcOf maps a node ID (a segment's flow) to its source. Epoch
+	// rebuilds keep the scenario's node numbering, so the table never goes
+	// stale.
+	params := &flowParams{rateBps: float64(sc.PerSat), segmentBits: sc.SegmentBits, cfg: sc.Transport}
+	sources := make([]source, len(g.Sources))
 	srcOf := make([]*source, len(g.nodes))
-	for _, id := range g.Sources {
-		s := newSource(id, float64(sc.PerSat), sc.SegmentBits, sc.Transport)
-		sources = append(sources, s)
-		srcOf[id] = s
+	for i, id := range g.Sources {
+		sources[i] = newSource(id, params)
+		srcOf[id] = &sources[i]
 	}
 
 	res := Result{Name: sc.Name, MeasuredSec: sc.DurationSec - sc.WarmupSec}
@@ -178,7 +180,8 @@ func Run(scenario Scenario) (Result, error) {
 		inflight = kept
 
 		// (5) Sources: quantize generation into segments.
-		for _, s := range sources {
+		for i := range sources {
+			s := &sources[i]
 			n := s.generate(now, sc.StepSec, g.nodes[s.node].Up, func(run segRun) {
 				enqueue(s.node, run, measure)
 			})
@@ -189,7 +192,8 @@ func Run(scenario Scenario) (Result, error) {
 		}
 
 		// (6) Transport timers: retransmit with exponential backoff.
-		for _, s := range sources {
+		for i := range sources {
+			s := &sources[i]
 			retx, aband := s.expire(now, g.nodes[s.node].Up, func(run segRun) {
 				enqueue(s.node, run, measure)
 			})

@@ -29,52 +29,72 @@ type segRun struct {
 	n int
 }
 
-// txState tracks one unacknowledged segment at its source. The flow and
-// size come from the source and the sequence number from the slot index,
-// so an entry holds only what differs between segments.
-type txState struct {
+// txGroup is the window entry for the segments one generate call emitted:
+// consecutive sequence numbers from first up to the next group's first
+// (the source's last sequence number for the newest group), all born at
+// the same time. Those segments are sent together, so the live ones time
+// out together and are retransmitted, held or abandoned together: one
+// deadline and one attempt count hold for every live segment of a group
+// at all times. Which of them are still live is kept in the source's
+// bitmap.
+type txGroup struct {
+	first    int64
 	born     float64
 	deadline float64
+	live     int32 // live segments left in the group
 	attempts int32
-	live     bool // false once acked or abandoned
+}
+
+// maxGroup bounds a group's size so its live count fits in an int32. A
+// generate call emitting more segments than this opens several groups.
+const maxGroup = math.MaxInt32
+
+// flowParams is what every source of a run shares: the generation rate,
+// the segment size and the transport policy.
+type flowParams struct {
+	rateBps     float64
+	segmentBits float64
+	cfg         TransportConfig
 }
 
 // source is one EO satellite's flow endpoint: it quantizes the generation
 // rate into segments and retransmits with exponential backoff until a
 // copy reaches a SµDC or the attempt budget runs out.
+//
+// Every step reads every source, so at constellation scale a step's cost
+// follows the source's size: the fields generate and expire read on every
+// step come first, sharing one cache line, and the run-wide parameters
+// sit behind one shared pointer.
 type source struct {
-	node        int
-	rateBps     float64
-	segmentBits float64
-	cfg         TransportConfig
-
+	node   int
 	credit float64
-	seq    int64
-	// Outstanding segments live in a sliding-window deque: buf[head:]
-	// covers consecutive sequence numbers starting at base, with acked and
-	// abandoned entries marked dead until the front of the window pops.
-	// Sequence numbers are monotone, so this replaces the old
-	// map[int64]txState, whose per-segment insert/delete churn forced the
-	// runtime into repeated same-size rehashes — an O(offered segments)
-	// allocation pattern under fault-heavy load. The deque reallocates only
-	// on genuine window growth, keeping transport bookkeeping
-	// allocation-flat at steady state, and it yields timeouts in sequence
-	// order for free, which the old map needed a per-step sort to
-	// guarantee.
-	buf  []txState
-	head int
-	base int64 // sequence number of buf[head]
-
 	// nextDeadline is a conservative lower bound on the earliest live
 	// deadline in the window: expire returns immediately while now is
-	// before it, instead of walking every outstanding segment every step.
-	// push lowers it on emission and expire re-tightens it on every walk;
+	// before it, instead of walking every outstanding group every step.
+	// open lowers it on emission and expire re-tightens it on every walk;
 	// acks can only raise the true minimum, so the stale bound stays a
 	// valid lower bound and at worst costs one extra walk. At constellation
 	// scale with deep fault-regime windows this turns the per-step timer
 	// scan from O(outstanding) into O(1) on the (vast majority of) steps
 	// where nothing times out.
 	nextDeadline float64
+	*flowParams
+
+	seq int64
+	// Outstanding segments form a sliding window of groups, groups[head:]
+	// in sequence order, plus a bitmap marking the live ones: bit k of
+	// live[bitHead:] is sequence number bitBase+k. Acked and abandoned
+	// segments are cleared bits until their whole group is dead and pops
+	// off the front. The window costs one group per step and one bit per
+	// segment, so one that lost segments hold open for a whole run of
+	// heavy traffic stays a few kilobytes. Both slices compact in place,
+	// so they reallocate only on genuine window growth, and walking the
+	// groups yields timeouts in sequence order.
+	groups  []txGroup
+	head    int
+	live    []uint64
+	bitHead int
+	bitBase int64
 
 	// abandoned records, in ascending order, the sequence numbers the
 	// timeout path gave up on whose copies may still be in flight. It is
@@ -102,50 +122,99 @@ const (
 )
 
 // newSource initializes the endpoint.
-func newSource(nodeID int, rateBps, segBits float64, cfg TransportConfig) *source {
-	return &source{node: nodeID, rateBps: rateBps, segmentBits: segBits, cfg: cfg, nextDeadline: math.Inf(1)}
+func newSource(nodeID int, p *flowParams) source {
+	return source{node: nodeID, nextDeadline: math.Inf(1), flowParams: p}
 }
 
-// slot returns seq's index in buf, or -1 when seq is outside the window.
-func (s *source) slot(seq int64) int {
-	if s.head >= len(s.buf) || seq < s.base {
-		return -1
+// isLive reports whether seq is an outstanding segment of the window.
+func (s *source) isLive(seq int64) bool {
+	if seq < s.bitBase {
+		return false
 	}
-	i := s.head + int(seq-s.base)
-	if i >= len(s.buf) {
-		return -1
-	}
-	return i
+	k := seq - s.bitBase
+	i := s.bitHead + int(k>>6)
+	return i < len(s.live) && s.live[i]&(1<<(k&63)) != 0
 }
 
-// push appends fresh segment seq to the window, compacting the dead prefix
-// in place once it reaches half the backing array so the append can reuse
-// capacity instead of growing it.
-func (s *source) push(seq int64, tx txState) {
-	if s.head == len(s.buf) {
-		s.buf = s.buf[:0]
-		s.head = 0
-		s.base = seq
-	} else if s.head > 0 && s.head*2 >= len(s.buf) {
-		n := copy(s.buf, s.buf[s.head:])
-		s.buf = s.buf[:n]
-		s.head = 0
+// kill clears live segment seq's bit.
+func (s *source) kill(seq int64) {
+	k := seq - s.bitBase
+	s.live[s.bitHead+int(k>>6)] &^= 1 << (k & 63)
+}
+
+// end returns one past the last sequence number of group gi.
+func (s *source) end(gi int) int64 {
+	if gi+1 < len(s.groups) {
+		return s.groups[gi+1].first
 	}
-	s.buf = append(s.buf, tx)
-	if tx.deadline < s.nextDeadline {
-		s.nextDeadline = tx.deadline
+	return s.seq + 1
+}
+
+// group returns the index of the window group holding seq, which must lie
+// in the window.
+func (s *source) group(seq int64) int {
+	lo, hi := s.head, len(s.groups)-1
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if s.groups[mid].first <= seq {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// open appends the n fresh segments first..first+n-1, born at born and due
+// at deadline, to the window as one group (several if n exceeds maxGroup).
+// The dead prefix of each slice is compacted in place once it reaches half
+// the backing array, so the append can reuse capacity instead of growing
+// it.
+func (s *source) open(first int64, n int, born, deadline float64) {
+	if s.head == len(s.groups) {
+		s.groups, s.head = s.groups[:0], 0
+		s.live, s.bitHead, s.bitBase = s.live[:0], 0, first
+	} else {
+		if s.head > 0 && s.head*2 >= len(s.groups) {
+			s.groups, s.head = s.groups[:copy(s.groups, s.groups[s.head:])], 0
+		}
+		if s.bitHead > 0 && s.bitHead*2 >= len(s.live) {
+			s.live, s.bitHead = s.live[:copy(s.live, s.live[s.bitHead:])], 0
+		}
+	}
+	for k := 0; k < n; k += maxGroup {
+		s.groups = append(s.groups, txGroup{first: first + int64(k), born: born, deadline: deadline,
+			live: int32(min(n-k, maxGroup)), attempts: 1})
+	}
+	lo := first - s.bitBase
+	hi := lo + int64(n)
+	for s.bitHead+int((hi+63)>>6) > len(s.live) {
+		s.live = append(s.live, 0)
+	}
+	for lo < hi {
+		b := lo & 63
+		m := min(hi-lo, 64-b)
+		s.live[s.bitHead+int(lo>>6)] |= (^uint64(0) >> (64 - m)) << b
+		lo += m
+	}
+	if deadline < s.nextDeadline {
+		s.nextDeadline = deadline
 	}
 }
 
-// trim pops dead entries off the front of the window.
+// trim pops dead groups off the front of the window and the bitmap words
+// that covered only them.
 func (s *source) trim() {
-	for s.head < len(s.buf) && !s.buf[s.head].live {
+	for s.head < len(s.groups) && s.groups[s.head].live == 0 {
 		s.head++
-		s.base++
 	}
-	if s.head == len(s.buf) {
-		s.buf = s.buf[:0]
-		s.head = 0
+	if s.head == len(s.groups) {
+		s.groups, s.head = s.groups[:0], 0
+		s.live, s.bitHead = s.live[:0], 0
+		return
+	}
+	for first := s.groups[s.head].first; s.bitBase+64 <= first; s.bitBase += 64 {
+		s.bitHead++
 	}
 }
 
@@ -160,12 +229,13 @@ func (s *source) generate(now, dt float64, alive bool, emit func(segRun)) int {
 	n := 0
 	for s.credit >= s.segmentBits {
 		s.credit -= s.segmentBits
-		s.seq++
-		s.push(s.seq, txState{born: now, deadline: now + s.cfg.RTOSec, attempts: 1, live: true})
 		n++
 	}
 	if n > 0 {
-		emit(segRun{segment{flow: s.node, seq: s.seq - int64(n) + 1, bits: s.segmentBits, born: now}, n})
+		first := s.seq + 1
+		s.seq += int64(n)
+		s.open(first, n, now, now+s.cfg.RTOSec)
+		emit(segRun{segment{flow: s.node, seq: first, bits: s.segmentBits, born: now}, n})
 	}
 	return n
 }
@@ -178,12 +248,11 @@ func (s *source) generate(now, dt float64, alive bool, emit func(segRun)) int {
 // arrival consumes the abandoned record, so further copies of the same
 // segment count as duplicates of it.
 func (s *source) ack(seq int64) ackResult {
-	if i := s.slot(seq); i >= 0 && s.buf[i].live {
-		s.buf[i].live = false
-		s.trim()
+	delivered, late, _ := s.ackRun(segRun{segment{seq: seq}, 1})
+	switch {
+	case delivered > 0:
 		return ackDelivered
-	}
-	if s.dropAbandoned(seq) {
+	case late > 0:
 		return ackLateAbandoned
 	}
 	return ackDuplicate
@@ -193,15 +262,25 @@ func (s *source) ack(seq int64) ackResult {
 // order, and returns how many were deliveries, late arrivals of abandoned
 // segments, and duplicates.
 func (s *source) ackRun(run segRun) (delivered, late, dups int) {
+	gi := -1
 	for k := 0; k < run.n; k++ {
-		switch s.ack(run.seq + int64(k)) {
-		case ackDelivered:
+		seq := run.seq + int64(k)
+		switch {
+		case s.isLive(seq):
+			if gi < 0 || seq >= s.end(gi) {
+				gi = s.group(seq)
+			}
+			s.kill(seq)
+			s.groups[gi].live--
 			delivered++
-		case ackLateAbandoned:
+		case s.dropAbandoned(seq):
 			late++
 		default:
 			dups++
 		}
+	}
+	if delivered > 0 {
+		s.trim()
 	}
 	return delivered, late, dups
 }
@@ -232,59 +311,68 @@ func (s *source) dropAbandoned(seq int64) bool {
 // The window stores segments in sequence order, so walking it emits
 // retransmissions deterministically — the property Run and Sweep's
 // bit-identical promise rests on, which the old map-backed version had to
-// restore with a collect-and-sort pass every step. Retransmissions with
-// consecutive sequence numbers and one birth time leave as one run.
+// restore with a collect-and-sort pass every step. A group's live
+// segments time out together; each stretch of consecutive ones leaves as
+// one run.
 func (s *source) expire(now float64, alive bool, emit func(segRun)) (retransmits, abandoned int) {
 	if now < s.nextDeadline {
 		return 0, 0
 	}
 	next := math.Inf(1)
-	var run segRun
-	for i := s.head; i < len(s.buf); i++ {
-		tx := &s.buf[i]
-		if !tx.live {
+	for gi := s.head; gi < len(s.groups); gi++ {
+		g := &s.groups[gi]
+		if g.live == 0 {
 			continue
 		}
-		if now < tx.deadline {
-			if tx.deadline < next {
-				next = tx.deadline
+		if now < g.deadline {
+			if g.deadline < next {
+				next = g.deadline
 			}
 			continue
 		}
-		seq := s.base + int64(i-s.head)
-		if int(tx.attempts) >= s.cfg.MaxAttempts {
-			abandoned++
-			tx.live = false
-			s.noteAbandoned(seq)
+		if int(g.attempts) >= s.cfg.MaxAttempts {
+			for seq, end := g.first, s.end(gi); seq < end; seq++ {
+				if s.isLive(seq) {
+					s.kill(seq)
+					s.noteAbandoned(seq)
+				}
+			}
+			abandoned += int(g.live)
+			g.live = 0
 			continue
 		}
 		if !alive {
 			// The satellite is down; push the timer out one RTO and let
 			// recovery retry.
-			tx.deadline = now + s.cfg.RTOSec
+			g.deadline = now + s.cfg.RTOSec
 		} else {
-			tx.attempts++
+			g.attempts++
 			rto := s.cfg.RTOSec
-			for a := int32(1); a < tx.attempts; a++ {
+			for a := int32(1); a < g.attempts; a++ {
 				rto *= s.cfg.Backoff
 			}
-			tx.deadline = now + rto
-			retransmits++
-			if run.n > 0 && run.seq+int64(run.n) == seq && run.born == tx.born {
-				run.n++
-			} else {
-				if run.n > 0 {
-					emit(run)
+			g.deadline = now + rto
+			retransmits += int(g.live)
+			var run segRun
+			for seq, end := g.first, s.end(gi); seq < end; seq++ {
+				switch {
+				case !s.isLive(seq):
+				case run.n > 0 && run.seq+int64(run.n) == seq:
+					run.n++
+				default:
+					if run.n > 0 {
+						emit(run)
+					}
+					run = segRun{segment{flow: s.node, seq: seq, bits: s.segmentBits, born: g.born}, 1}
 				}
-				run = segRun{segment{flow: s.node, seq: seq, bits: s.segmentBits, born: tx.born}, 1}
+			}
+			if run.n > 0 {
+				emit(run)
 			}
 		}
-		if tx.deadline < next {
-			next = tx.deadline
+		if g.deadline < next {
+			next = g.deadline
 		}
-	}
-	if run.n > 0 {
-		emit(run)
 	}
 	s.nextDeadline = next
 	s.trim()
