@@ -18,18 +18,8 @@ var multishellShellSats = []int{16, 12, 8}
 
 // multishellSpec stacks `shells` tapered K=4 clusters at 550 + 250·i km,
 // wired by the given inter-shell rule (one cross-link pair per satellite
-// of the smaller shell). One shell is the single-shell baseline the stack
-// must subsume.
+// of the smaller shell).
 func multishellSpec(shells int, kind netsim.InterShellKind) netsim.TopologySpec {
-	if shells == 1 {
-		return netsim.TopologySpec{
-			Kind:     netsim.ClusterTopology,
-			Sats:     multishellShellSats[0],
-			Cluster:  isl.Topology{K: 4, Split: 1},
-			Tech:     isl.Optical10G,
-			LowAltKm: 550,
-		}
-	}
 	ts := netsim.TopologySpec{Kind: netsim.ClusterTopology, Tech: isl.Optical10G}
 	for i := 0; i < shells; i++ {
 		ts.Shells = append(ts.Shells, netsim.ShellSpec{
@@ -93,10 +83,6 @@ func ExtMultishell() ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sats := 0
-		for _, n := range multishellShellSats[:d.shells] {
-			sats += n
-		}
 		for _, c := range campaigns {
 			scenarios = append(scenarios, netsim.Scenario{
 				Name:        d.name + "/" + c.name,
@@ -112,7 +98,7 @@ func ExtMultishell() ([]report.Table, error) {
 			})
 			metas = append(metas, rowMeta{
 				design: d.name, campaign: c.name,
-				sats: sats, cross: g.CrossShellLinks(),
+				sats: spec.TotalSats(), cross: g.CrossShellLinks(),
 			})
 		}
 	}

@@ -2,14 +2,17 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"spacedc/internal/isl"
+	"spacedc/internal/orbit"
 )
 
-// MaxDesignNodes caps the node population a design-space candidate may
-// instantiate. The optimizer proposes constellations mechanically; without
-// a ceiling a mutated planes×sats-per-plane pair can silently overflow or
-// ask the simulator for a multi-million-node graph mid-search.
+// MaxDesignNodes caps the node population (satellites plus sinks) of
+// every TopologySpec: Validate rejects a larger spec before any graph is
+// allocated, so neither a mutated planes×sats-per-plane pair from the
+// optimizer nor a daemon request can overflow a count or ask the simulator
+// for a multi-million-node graph.
 const MaxDesignNodes = 1 << 20
 
 // DesignError is the typed rejection for structurally invalid candidate
@@ -66,64 +69,69 @@ func DesignTopology(planes, satsPerPlane int, altKm float64, k, split, geoSinks 
 		return TopologySpec{}, designErrf("link-tech", "non-positive capacity %v", tech.Capacity)
 	}
 
-	geo := geoSinks > 0
-	if geo {
-		if k != 0 || split != 0 {
-			return TopologySpec{}, designErrf("topology",
-				"GEO-star design cannot also carry a cluster fabric (k=%d split=%d)", k, split)
-		}
-		return TopologySpec{
-			Kind:     GEOStarTopology,
-			Sats:     satsPerPlane, // per-plane block; sinks are shared
-			Tech:     tech,
-			GEOSinks: geoSinks,
-			LowAltKm: altKm,
-		}, nil
-	}
-
-	// Cluster design: the ISL budget must buy a real fabric. k = 0 is the
-	// zero-ISL-budget degenerate case this path exists to reject.
-	if k < 2 || k%2 != 0 {
-		return TopologySpec{}, designErrf("isl-budget",
-			"cluster fabric needs an even receiver fan-in K ≥ 2, got %d (a zero-ISL design ships nothing)", k)
-	}
-	if split < 1 {
-		return TopologySpec{}, designErrf("split", "need ≥ 1 SµDC per plane, got %d", split)
-	}
-	// Division form: k·split can overflow for adversarial values.
-	if split > satsPerPlane/k {
-		return TopologySpec{}, designErrf("sats-per-plane",
-			"%d satellites cannot populate %d sinks × %d receivers", satsPerPlane, split, k)
-	}
-	return TopologySpec{
-		Kind:     ClusterTopology,
+	ts := TopologySpec{
 		Sats:     satsPerPlane,
 		Cluster:  isl.Topology{K: k, Split: split},
 		Tech:     tech,
 		LowAltKm: altKm,
-	}, nil
+	}
+	sinks := split
+	if geoSinks > 0 {
+		if k != 0 || split != 0 {
+			return TopologySpec{}, designErrf("topology",
+				"GEO-star design cannot also carry a cluster fabric (k=%d split=%d)", k, split)
+		}
+		if altKm >= orbit.GeostationaryAltitudeKm {
+			return TopologySpec{}, designErrf("altitude", "GEO-star design needs alt < %v km, got %v",
+				orbit.GeostationaryAltitudeKm, altKm)
+		}
+		// The plane's block of satellites; its sinks are shared.
+		ts.Kind, ts.GEOSinks = GEOStarTopology, geoSinks
+		sinks = ts.geoSinks()
+	} else if err := checkCluster("", satsPerPlane, ts.Cluster); err != nil {
+		return TopologySpec{}, err
+	}
+	// The plane's graph adds its sinks to the satellites, which a
+	// one-plane design at the ceiling has no room for.
+	if satsPerPlane+sinks > MaxDesignNodes {
+		return TopologySpec{}, designErrf("planes×sats-per-plane",
+			"%d satellites and %d sinks per plane exceed the %d-node design ceiling", satsPerPlane, sinks, MaxDesignNodes)
+	}
+	return ts, nil
 }
 
-// ShellParams is one shell of a multi-shell candidate design, in the
-// vocabulary the optimizer mutates: per-plane satellite population, shell
-// altitude, and the intra-shell ISL budget.
-type ShellParams struct {
-	SatsPerPlane int
-	AltKm        float64
-	K            int
-	Split        int
+// checkCluster is the per-plane cluster check DesignTopology and
+// DesignShells share: an even receiver fan-in K ≥ 2 (k = 0 is the
+// zero-ISL-budget degenerate case), at least one SµDC, and enough
+// satellites to populate Split sinks × K receivers. Field names start with
+// prefix, so a stack's rejections name their shell.
+func checkCluster(prefix string, sats int, cl isl.Topology) error {
+	if cl.K < 2 || cl.K%2 != 0 {
+		return designErrf(prefix+"isl-budget",
+			"cluster fabric needs an even receiver fan-in K ≥ 2, got %d (a zero-ISL design ships nothing)", cl.K)
+	}
+	if cl.Split < 1 {
+		return designErrf(prefix+"split", "need ≥ 1 SµDC per plane, got %d", cl.Split)
+	}
+	// Division form: K·Split can overflow for adversarial values.
+	if cl.Split > sats/cl.K {
+		return designErrf(prefix+"sats-per-plane",
+			"%d satellites cannot populate %d sinks × %d receivers", sats, cl.Split, cl.K)
+	}
+	return nil
 }
 
 // DesignShells builds the per-plane multi-shell TopologySpec for a
 // candidate shell stack, applying DesignTopology's cluster checks to every
 // shell plus the stack-level bounds (cumulative node ceiling, cross-link
-// budget within the smaller shell). Like DesignTopology it REJECTS
-// degenerate stacks with a typed *DesignError — never a panic and never a
-// spec whose Validate would fail — which the fuzz suite pins down against
-// adversarial counts and non-finite altitudes. All shells share the inter
-// rule and crossLinks budget (0 = one pair per satellite of the smaller
-// shell of each adjacent pair).
-func DesignShells(shells []ShellParams, inter InterShellKind, crossLinks int, tech isl.LinkTech) (TopologySpec, error) {
+// budget within the smaller shell). Each shell's Sats is its per-plane
+// population. Like DesignTopology it REJECTS degenerate stacks with a
+// typed *DesignError — never a panic and never a spec whose Validate would
+// fail — which the fuzz suite pins down against adversarial counts and
+// non-finite altitudes. All shells share the inter rule and crossLinks
+// budget (0 = one pair per satellite of the smaller shell of each adjacent
+// pair).
+func DesignShells(shells []ShellSpec, inter InterShellKind, crossLinks int, tech isl.LinkTech) (TopologySpec, error) {
 	if len(shells) < 1 {
 		return TopologySpec{}, designErrf("shells", "need ≥ 1 shell, got %d", len(shells))
 	}
@@ -136,49 +144,33 @@ func DesignShells(shells []ShellParams, inter InterShellKind, crossLinks int, te
 	if crossLinks < 0 {
 		return TopologySpec{}, designErrf("cross-links", "need ≥ 0, got %d", crossLinks)
 	}
-	ts := TopologySpec{Kind: ClusterTopology, Tech: tech}
+	ts := TopologySpec{Kind: ClusterTopology, Tech: tech, Shells: slices.Clone(shells)}
 	totalNodes := 0
 	for i, sh := range shells {
-		field := fmt.Sprintf("shell[%d]", i)
-		if sh.SatsPerPlane < 1 {
-			return TopologySpec{}, designErrf(field+".sats-per-plane", "need ≥ 1, got %d", sh.SatsPerPlane)
+		field := fmt.Sprintf("shell[%d].", i)
+		if sh.Sats < 1 {
+			return TopologySpec{}, designErrf(field+"sats-per-plane", "need ≥ 1, got %d", sh.Sats)
 		}
 		// Per-shell cap before accumulating, so adversarial counts near
 		// MaxInt cannot overflow the running total below.
-		if sh.SatsPerPlane > MaxDesignNodes {
-			return TopologySpec{}, designErrf(field+".sats-per-plane",
-				"%d exceeds the %d-node design ceiling", sh.SatsPerPlane, MaxDesignNodes)
+		if sh.Sats > MaxDesignNodes {
+			return TopologySpec{}, designErrf(field+"sats-per-plane",
+				"%d exceeds the %d-node design ceiling", sh.Sats, MaxDesignNodes)
 		}
 		if !(sh.AltKm > 0) || sh.AltKm > 100e3 {
-			return TopologySpec{}, designErrf(field+".altitude", "need 0 < alt ≤ 100000 km, got %v", sh.AltKm)
+			return TopologySpec{}, designErrf(field+"altitude", "need 0 < alt ≤ 100000 km, got %v", sh.AltKm)
 		}
-		if sh.K < 2 || sh.K%2 != 0 {
-			return TopologySpec{}, designErrf(field+".isl-budget",
-				"cluster fabric needs an even receiver fan-in K ≥ 2, got %d", sh.K)
+		if err := checkCluster(field, sh.Sats, sh.Cluster); err != nil {
+			return TopologySpec{}, err
 		}
-		if sh.Split < 1 {
-			return TopologySpec{}, designErrf(field+".split", "need ≥ 1 SµDC per plane, got %d", sh.Split)
-		}
-		if sh.Split > sh.SatsPerPlane/sh.K {
-			return TopologySpec{}, designErrf(field+".sats-per-plane",
-				"%d satellites cannot populate %d sinks × %d receivers", sh.SatsPerPlane, sh.Split, sh.K)
-		}
-		totalNodes += sh.SatsPerPlane + sh.Split
+		totalNodes += sh.Sats + sh.Cluster.Split
 		if totalNodes > MaxDesignNodes {
 			return TopologySpec{}, designErrf("shells",
 				"stack exceeds the %d-node design ceiling at shell %d", MaxDesignNodes, i)
 		}
-		ts.Shells = append(ts.Shells, ShellSpec{
-			Sats:    sh.SatsPerPlane,
-			Cluster: isl.Topology{K: sh.K, Split: sh.Split},
-			AltKm:   sh.AltKm,
-		})
 	}
 	for i := 0; i+1 < len(shells); i++ {
-		minSats := shells[i].SatsPerPlane
-		if shells[i+1].SatsPerPlane < minSats {
-			minSats = shells[i+1].SatsPerPlane
-		}
+		minSats := min(shells[i].Sats, shells[i+1].Sats)
 		if crossLinks > minSats {
 			return TopologySpec{}, designErrf("cross-links",
 				"budget %d exceeds the %d satellites of the smaller shell in pair %d–%d",

@@ -169,8 +169,8 @@ func (h *flipHeap) popDue(now float64, due []int) []int {
 func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *faultState {
 	fs := &faultState{cfg: cfg, rng: rng, optical: ts.Tech.Optical}
 	if cfg.EclipseOutage {
-		for _, alt := range ts.shellAltsKm() {
-			frac, period := eclipseFractionAt(alt)
+		for _, sh := range ts.stack() {
+			frac, period := eclipseFractionAt(sh.AltKm)
 			fs.eclipseFrac = append(fs.eclipseFrac, frac)
 			fs.periodSec = append(fs.periodSec, period)
 			if frac > 0 {

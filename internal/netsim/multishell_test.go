@@ -280,9 +280,13 @@ func TestMultiShellRunBitIdentityIncrementalVsFull(t *testing.T) {
 
 // FuzzDesignTopology throws arbitrary shell stacks — adversarial counts,
 // non-finite altitudes, degenerate K/split combos, hostile inter-shell
-// kinds and budgets — at the design construction paths. The contract:
-// either a typed *DesignError comes back, or the spec passes Validate and
-// (when small enough to build) produces a routable graph. Never a panic.
+// kinds and budgets — at the design construction paths and, built
+// directly from the same inputs, at the raw one-plane, GEO and stack
+// specs that only Validate guards. The contract: a design path either
+// returns a typed *DesignError or a spec that passes Validate; a raw spec
+// either fails Validate or stays within MaxDesignNodes; and any accepted
+// spec small enough to build produces finite, non-negative links and a
+// routable graph. Never a panic.
 func FuzzDesignTopology(f *testing.F) {
 	f.Add(2, 9, 6, 4, 550.0, 800.0, 1100.0, 2, 1, 0, 0)
 	f.Add(3, 16, 12, 8, 550.0, 800.0, 1050.0, 4, 2, 1, 3)
@@ -291,6 +295,10 @@ func FuzzDesignTopology(f *testing.F) {
 	f.Add(3, 1<<30, 1<<30, 1<<30, 550.0, 550.0, 550.0, 2, 1, 0, 0)
 	f.Add(2, 10, 10, 10, 0.0, 100001.0, 550.0, 6, 1, 1, 11)
 	f.Add(2, 24, 24, 0, 550.0, 550.0, 0.0, 1<<40, 1<<40, 0, 0)
+	f.Add(2, 16, 12, 8, math.NaN(), math.NaN(), 550.0, 4, 1, 3, 0)
+	f.Add(2, 16, 12, 8, -100.0, -100.0, 550.0, 2, 1, 3, 0)
+	f.Add(2, 16, 12, 8, 1e12, 1e12, 550.0, 2, 1, 3, 0)
+	f.Add(2, 1<<40, 1<<40, 8, 550.0, 800.0, 1100.0, 2, 1, 3, 0)
 	f.Fuzz(func(t *testing.T, nShells, sats0, sats1, sats2 int, alt0, alt1, alt2 float64, k, split, interKind, crossLinks int) {
 		n := nShells % 4
 		if n < 0 {
@@ -298,9 +306,13 @@ func FuzzDesignTopology(f *testing.F) {
 		}
 		sats := []int{sats0, sats1, sats2}
 		alts := []float64{alt0, alt1, alt2}
-		var shells []ShellParams
+		var shells []ShellSpec
+		var rules []InterShellRule
 		for i := 0; i < n; i++ {
-			shells = append(shells, ShellParams{SatsPerPlane: sats[i], AltKm: alts[i], K: k, Split: split})
+			shells = append(shells, ShellSpec{Sats: sats[i], Cluster: isl.Topology{K: k, Split: split}, AltKm: alts[i]})
+			if i > 0 {
+				rules = append(rules, InterShellRule{Kind: InterShellKind(interKind), CrossLinks: crossLinks})
+			}
 		}
 		ts, err := DesignShells(shells, InterShellKind(interKind), crossLinks, isl.Optical10G)
 		if err != nil {
@@ -324,27 +336,66 @@ func FuzzDesignTopology(f *testing.F) {
 		} else {
 			checkBuildable(t, ts)
 		}
+
+		for _, raw := range []TopologySpec{
+			{Sats: sats0, Cluster: isl.Topology{K: k, Split: split}, Tech: isl.Optical10G, LowAltKm: alt0},
+			{Kind: GEOStarTopology, Sats: sats0, GEOSinks: interKind, Tech: isl.Optical10G, LowAltKm: alt0},
+			{Tech: isl.Optical10G, Shells: shells, InterShell: rules},
+		} {
+			if raw.Validate() == nil {
+				checkGraph(t, raw)
+			}
+		}
 	})
 }
 
-// checkBuildable asserts an accepted design spec validates, and — when
-// small enough to instantiate in a fuzz iteration — builds a graph whose
-// routing table derives without panicking.
+// checkBuildable asserts an accepted design spec validates and builds a
+// sound graph.
 func checkBuildable(t *testing.T, ts TopologySpec) {
 	t.Helper()
 	if err := ts.Validate(); err != nil {
 		t.Fatalf("accepted design fails Validate: %v (spec %+v)", err, ts)
 	}
-	total := ts.Sats + ts.GEOSinks + ts.Cluster.Split
-	for _, sh := range ts.Shells {
-		total += sh.Sats + sh.Cluster.Split
+	checkGraph(t, ts)
+}
+
+// checkGraph asserts a spec that passed Validate stays within
+// MaxDesignNodes and — when small enough to instantiate in a fuzz
+// iteration — builds a graph whose link delays and capacities are finite
+// and non-negative and whose routing table derives without panicking.
+func checkGraph(t *testing.T, ts TopologySpec) {
+	t.Helper()
+	// Counted in floats, so a count that slipped past Validate cannot
+	// overflow its way under the ceiling here.
+	nodes := 0.0
+	if len(ts.Shells) == 0 {
+		sinks := ts.Cluster.Split
+		if ts.Kind == GEOStarTopology {
+			sinks = ts.GEOSinks
+			if sinks == 0 {
+				sinks = 3
+			}
+			sinks = min(sinks, ts.Sats)
+		}
+		nodes = float64(ts.Sats) + float64(sinks)
 	}
-	if total > 20000 {
+	for _, sh := range ts.Shells {
+		nodes += float64(sh.Sats) + float64(sh.Cluster.Split)
+	}
+	if nodes > MaxDesignNodes {
+		t.Fatalf("spec with %v nodes passes Validate above the %d-node ceiling (spec %+v)", nodes, MaxDesignNodes, ts)
+	}
+	if nodes > 20000 {
 		return
 	}
 	g, err := BuildGraph(ts)
 	if err != nil {
-		t.Fatalf("accepted design fails BuildGraph: %v (spec %+v)", err, ts)
+		t.Fatalf("valid spec fails BuildGraph: %v (spec %+v)", err, ts)
+	}
+	for _, l := range g.Links {
+		if !(l.DelaySec >= 0) || math.IsInf(l.DelaySec, 1) || !(l.CapacityBps >= 0) || math.IsInf(l.CapacityBps, 1) {
+			t.Fatalf("link %d→%d has delay %v s, capacity %v bit/s (spec %+v)", l.From, l.To, l.DelaySec, l.CapacityBps, ts)
+		}
 	}
 	g.recomputeRoutes(true)
 	for _, s := range g.Sinks {

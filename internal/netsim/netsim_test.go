@@ -178,12 +178,44 @@ func TestScenarioValidation(t *testing.T) {
 		ringScenarioBadRate(),              // zero rate
 		ringScenarioBadWarmup(),            // warmup ≥ duration
 		ringScenarioBadFaults(),            // outage fraction ≥ 1
+		ringScenario(1 << 40),              // nodes above MaxDesignNodes
+		ringWith(func(sc *Scenario) { // a stack shell above MaxDesignNodes
+			sc.Topology = twoShellSpec(InterShellAligned)
+			sc.Topology.Shells[1].Sats = 1 << 40
+		}),
+		ringWith(func(sc *Scenario) { // a stack whose node sum overflows
+			sc.Topology = twoShellSpec(InterShellAligned)
+			sc.Topology.Shells[0].Sats, sc.Topology.Shells[1].Sats = MaxDesignNodes-9, math.MaxInt
+		}),
+		ringWith(func(sc *Scenario) { sc.Topology.LowAltKm = math.NaN() }),
+		ringWith(func(sc *Scenario) { // below ground, in eclipse
+			sc.Topology.LowAltKm, sc.Topology.Tech = -100, isl.Optical10G
+			sc.Faults.EclipseOutage = true
+		}),
+		ringWith(func(sc *Scenario) { sc.Topology.LowAltKm = 1e12 }),
+		ringWith(func(sc *Scenario) { // GEO star above GEO
+			sc.Topology.Kind, sc.Topology.LowAltKm = GEOStarTopology, 40000
+		}),
+		ringWith(func(sc *Scenario) { // inter-shell rules on one plane
+			sc.Topology.InterShell = []InterShellRule{{}}
+		}),
+		ringWith(func(sc *Scenario) { // one-plane altitude on a stack
+			sc.Topology = twoShellSpec(InterShellAligned)
+			sc.Topology.LowAltKm = 550
+		}),
 	}
 	for i, sc := range bad {
 		if _, err := Run(sc); err == nil {
 			t.Errorf("bad scenario %d accepted", i)
 		}
 	}
+}
+
+// ringWith returns ringScenario(4) with edit applied.
+func ringWith(edit func(*Scenario)) Scenario {
+	sc := ringScenario(4)
+	edit(&sc)
+	return sc
 }
 
 func ringScenarioBadRate() Scenario {

@@ -78,7 +78,10 @@ type InterShellRule struct {
 const interShellRefKm = 500.0
 
 // TopologySpec describes the network the time-stepped driver rebuilds at
-// every epoch.
+// every epoch. Validation, building and the fault layer read every spec
+// as a shell stack (see stack): the one-plane fields Sats, Cluster and
+// LowAltKm are shorthand for a one-shell stack, and Shells spells a stack
+// out.
 type TopologySpec struct {
 	Kind TopologyKind
 	// Sats is the number of EO satellites (flow sources).
@@ -88,33 +91,55 @@ type TopologySpec struct {
 	// Tech supplies link capacity and whether the terminal is optical
 	// (optical terminals lose pointing in eclipse sweeps).
 	Tech isl.LinkTech
-	// Geometry fixes in-plane spacing, and thus link lengths, for
-	// ClusterTopology. Zero-value geometry defaults to orbit-spacing the
-	// plane's population at 550 km.
-	Geometry isl.PlaneGeometry
 	// GEOSinks is the number of GEO SµDCs for GEOStarTopology. Zero
 	// means 3 (the minimal whole-Earth star).
 	GEOSinks int
-	// LowAltKm is the EO constellation altitude, used for GEO slant range
-	// and eclipse geometry. Zero means 550.
+	// LowAltKm is the EO altitude of a one-plane spec, which fixes its
+	// link geometry, GEO slant range and eclipse geometry. Zero means 550.
 	LowAltKm float64
 	// QueueSec sizes each link's FIFO queue in seconds of link capacity.
 	QueueSec float64
 
-	// Shells, when non-empty, replaces the single-shell fields above with
-	// a multi-shell stack: one cluster fabric per shell (each at its own
+	// Shells, when non-empty, replaces the one-plane fields above with a
+	// multi-shell stack: one cluster fabric per shell (each at its own
 	// altitude, with its own eclipse geometry and orbital period) wired
 	// into one graph by the InterShell cross-link rules. Kind must be
-	// ClusterTopology (the zero value) and Sats/GEOSinks must be zero; the
-	// per-shell geometry is always orbit-spaced at the shell's altitude.
+	// ClusterTopology (the zero value) and Sats, GEOSinks and LowAltKm
+	// must be zero.
 	Shells []ShellSpec
 	// InterShell wires each adjacent shell pair; its length must be
-	// len(Shells)-1. Cross-link latency and capacity derive from the
-	// altitude gap between the two shells.
+	// len(Shells)-1, so a one-plane spec carries none. Cross-link latency
+	// and capacity derive from the altitude gap between the two shells.
 	InterShell []InterShellRule
 }
 
-// Validate checks the spec.
+// stack returns the spec's shells: Shells itself, or the one-plane fields
+// as one shell at LowAltKm (550 km when zero). A GEO star's one shell is
+// its EO satellites; the star does not read the shell's Cluster.
+func (ts TopologySpec) stack() []ShellSpec {
+	if len(ts.Shells) > 0 {
+		return ts.Shells
+	}
+	alt := ts.LowAltKm
+	if alt == 0 {
+		alt = 550
+	}
+	return []ShellSpec{{Sats: ts.Sats, Cluster: ts.Cluster, AltKm: alt}}
+}
+
+// geoSinks returns a GEO star's sink count: GEOSinks with its default,
+// never more than the satellites the sinks serve.
+func (ts TopologySpec) geoSinks() int {
+	n := ts.GEOSinks
+	if n == 0 {
+		n = 3
+	}
+	return min(n, ts.Sats)
+}
+
+// Validate checks the spec's shell stack, so both spec forms get the same
+// per-shell checks, and rejects a spec whose satellites plus sinks exceed
+// MaxDesignNodes before any graph is allocated.
 func (ts TopologySpec) Validate() error {
 	if ts.Tech.Capacity <= 0 {
 		return fmt.Errorf("netsim: non-positive link capacity %v", ts.Tech.Capacity)
@@ -122,22 +147,8 @@ func (ts TopologySpec) Validate() error {
 	if ts.QueueSec < 0 {
 		return fmt.Errorf("netsim: negative queue depth %v s", ts.QueueSec)
 	}
-	if len(ts.Shells) > 0 {
-		return ts.validateShells()
-	}
-	if ts.Sats <= 0 {
-		return fmt.Errorf("netsim: non-positive satellite count %d", ts.Sats)
-	}
 	switch ts.Kind {
 	case ClusterTopology:
-		if err := ts.Cluster.Validate(); err != nil {
-			return err
-		}
-		// Division form: K·Split can overflow for adversarial values.
-		if ts.Cluster.Split > ts.Sats/ts.Cluster.K {
-			return fmt.Errorf("netsim: %d sats cannot populate %d sinks × %d receivers",
-				ts.Sats, ts.Cluster.Split, ts.Cluster.K)
-		}
 	case GEOStarTopology:
 		if ts.GEOSinks < 0 {
 			return fmt.Errorf("netsim: negative GEO sink count %d", ts.GEOSinks)
@@ -145,47 +156,58 @@ func (ts TopologySpec) Validate() error {
 	default:
 		return fmt.Errorf("netsim: unknown topology kind %d", ts.Kind)
 	}
-	return nil
-}
-
-// validateShells checks the multi-shell stack: every shell must be a
-// well-formed cluster, the rule list must cover exactly the adjacent
-// pairs, and the single-shell fields must stay unset so a spec is
-// unambiguously one or the other.
-func (ts TopologySpec) validateShells() error {
-	if ts.Kind != ClusterTopology {
-		return fmt.Errorf("netsim: multi-shell stacks are cluster-kind; kind %d cannot carry shells", ts.Kind)
+	if len(ts.Shells) > 0 {
+		if ts.Kind != ClusterTopology {
+			return fmt.Errorf("netsim: multi-shell stacks are cluster-kind; kind %d cannot carry shells", ts.Kind)
+		}
+		if ts.Sats != 0 || ts.GEOSinks != 0 || ts.LowAltKm != 0 {
+			return fmt.Errorf("netsim: spec sets both Shells and one-plane fields (sats=%d, geoSinks=%d, lowAltKm=%v)",
+				ts.Sats, ts.GEOSinks, ts.LowAltKm)
+		}
 	}
-	if ts.Sats != 0 || ts.GEOSinks != 0 {
-		return fmt.Errorf("netsim: spec sets both Shells and single-shell fields (sats=%d, geoSinks=%d)", ts.Sats, ts.GEOSinks)
-	}
-	if len(ts.InterShell) != len(ts.Shells)-1 {
+	shells := ts.stack()
+	if len(ts.InterShell) != len(shells)-1 {
 		return fmt.Errorf("netsim: %d shells need %d inter-shell rules, got %d",
-			len(ts.Shells), len(ts.Shells)-1, len(ts.InterShell))
+			len(shells), len(shells)-1, len(ts.InterShell))
 	}
-	for i, sh := range ts.Shells {
+	nodes := 0
+	for i, sh := range shells {
 		if sh.Sats <= 0 {
 			return fmt.Errorf("netsim: shell %d: non-positive satellite count %d", i, sh.Sats)
 		}
-		if err := sh.Cluster.Validate(); err != nil {
-			return fmt.Errorf("netsim: shell %d: %w", i, err)
-		}
-		if sh.Cluster.Split > sh.Sats/sh.Cluster.K {
-			return fmt.Errorf("netsim: shell %d: %d sats cannot populate %d sinks × %d receivers",
-				i, sh.Sats, sh.Cluster.Split, sh.Cluster.K)
+		// Bound the shell before adding it, so adversarial counts cannot
+		// overflow the sum; a shell never has more sinks than satellites.
+		if sh.Sats > MaxDesignNodes-nodes {
+			return fmt.Errorf("netsim: shell %d: %d satellites exceed the %d-node ceiling", i, sh.Sats, MaxDesignNodes)
 		}
 		if !(sh.AltKm > 0) || sh.AltKm > 100e3 {
 			return fmt.Errorf("netsim: shell %d: altitude must satisfy 0 < alt ≤ 100000 km, got %v", i, sh.AltKm)
+		}
+		if ts.Kind == GEOStarTopology {
+			if sh.AltKm >= orbit.GeostationaryAltitudeKm {
+				return fmt.Errorf("netsim: GEO star EO altitude %v km not below GEO at %v km", sh.AltKm, orbit.GeostationaryAltitudeKm)
+			}
+			nodes += sh.Sats + ts.geoSinks()
+		} else {
+			if err := sh.Cluster.Validate(); err != nil {
+				return fmt.Errorf("netsim: shell %d: %w", i, err)
+			}
+			// Division form: K·Split can overflow for adversarial values.
+			if sh.Cluster.Split > sh.Sats/sh.Cluster.K {
+				return fmt.Errorf("netsim: shell %d: %d sats cannot populate %d sinks × %d receivers",
+					i, sh.Sats, sh.Cluster.Split, sh.Cluster.K)
+			}
+			nodes += sh.Sats + sh.Cluster.Split
+		}
+		if nodes > MaxDesignNodes {
+			return fmt.Errorf("netsim: %d satellites and sinks through shell %d exceed the %d-node ceiling", nodes, i, MaxDesignNodes)
 		}
 	}
 	for i, rule := range ts.InterShell {
 		if rule.Kind != InterShellAligned && rule.Kind != InterShellNearest {
 			return fmt.Errorf("netsim: inter-shell rule %d: unknown kind %d", i, int(rule.Kind))
 		}
-		maxPairs := ts.Shells[i].Sats
-		if ts.Shells[i+1].Sats < maxPairs {
-			maxPairs = ts.Shells[i+1].Sats
-		}
+		maxPairs := min(shells[i].Sats, shells[i+1].Sats)
 		if rule.CrossLinks < 0 || rule.CrossLinks > maxPairs {
 			return fmt.Errorf("netsim: inter-shell rule %d: cross-link budget %d outside [0, %d]",
 				i, rule.CrossLinks, maxPairs)
@@ -194,33 +216,14 @@ func (ts TopologySpec) validateShells() error {
 	return nil
 }
 
-// TotalSats returns the satellite population across the whole spec: the
-// per-shell sum for multi-shell stacks, the flat count otherwise.
+// TotalSats returns the EO satellite population summed over the spec's
+// shells.
 func (ts TopologySpec) TotalSats() int {
-	if len(ts.Shells) == 0 {
-		return ts.Sats
-	}
 	total := 0
-	for _, sh := range ts.Shells {
+	for _, sh := range ts.stack() {
 		total += sh.Sats
 	}
 	return total
-}
-
-// lowAlt returns the EO altitude with the default applied.
-func (ts TopologySpec) lowAlt() float64 {
-	if ts.LowAltKm == 0 {
-		return 550
-	}
-	return ts.LowAltKm
-}
-
-// geometry returns the plane geometry with the default applied.
-func (ts TopologySpec) geometry(totalNodes int) isl.PlaneGeometry {
-	if ts.Geometry.SpacingRad == 0 {
-		return isl.OrbitSpacedGeometry(ts.lowAlt(), totalNodes)
-	}
-	return ts.Geometry
 }
 
 const lightSpeedKmS = 299792.458
@@ -232,42 +235,27 @@ func BuildGraph(ts TopologySpec) (*Graph, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
-	if len(ts.Shells) > 0 {
-		return buildMultiShell(ts), nil
-	}
-	switch ts.Kind {
-	case GEOStarTopology:
+	if ts.Kind == GEOStarTopology {
 		return buildGEOStar(ts), nil
-	default:
-		return buildCluster(ts), nil
 	}
+	return buildStack(ts), nil
 }
 
-// buildCluster lays Sats satellites and Split sinks around one orbital
-// plane and wires the span-K/2 ISL fabric: satellite↔satellite links K/2
-// positions apart in both directions, and each sink receiving from its K
-// nearest satellites (spans 1…K/2 on each side). Shortest-path routing
-// over this fabric reproduces exactly the K relay chains per sink that
-// isl.BuildCluster constructs analytically — netsim builds the *physical*
-// fabric so that traffic can reroute the long way around when a chain
-// link fails.
-func buildCluster(ts TopologySpec) *Graph {
-	total := ts.Sats + ts.Cluster.Split
-	g := newGraph(total)
-	cap := float64(ts.Tech.Capacity)
-	layCluster(g, 0, 0, ts.Sats, ts.Cluster, ts.geometry(total), cap, ts.QueueSec*cap)
-	return g
-}
-
-// layCluster lays one cluster plane — sats satellites plus cl.Split sinks —
-// into g starting at node offset, tagging every node with the shell index.
-// Node and link creation order is identical to what the single-shell
-// builder always produced, so a one-shell graph is bit-identical to the
-// legacy path and multi-shell graphs get deterministic IDs per shell. It
-// returns the global IDs of the shell's satellites (its sources), in
-// plane order, for the cross-link pass.
-func layCluster(g *Graph, offset, shellIdx, sats int, cl isl.Topology, geom isl.PlaneGeometry, capBps, queueBits float64) []int {
-	total := sats + cl.Split
+// layCluster lays one shell's cluster plane — sh.Sats satellites plus
+// sh.Cluster.Split sinks, orbit-spaced at sh.AltKm — into g starting at
+// node offset, tagging every node with the shell index and appending the
+// shell's sinks and its sh.Sats satellites (in plane order) to g.Sinks and
+// g.Sources. It then wires the span-K/2 ISL fabric: satellite↔satellite
+// links K/2 positions apart in both directions, and each sink receiving
+// from its K nearest satellites (spans 1…K/2 on each side). Shortest-path
+// routing over this fabric reproduces exactly the K relay chains per sink
+// that isl.BuildCluster constructs analytically — netsim builds the
+// *physical* fabric so that traffic can reroute the long way around when a
+// chain link fails.
+func layCluster(g *Graph, offset, shellIdx int, sh ShellSpec, capBps, queueBits float64) {
+	cl := sh.Cluster
+	total := sh.Sats + cl.Split
+	geom := isl.OrbitSpacedGeometry(sh.AltKm, total)
 
 	// Sink positions, evenly spaced around the plane.
 	isSink := make([]bool, total)
@@ -276,13 +264,11 @@ func layCluster(g *Graph, offset, shellIdx, sats int, cl isl.Topology, geom isl.
 		isSink[p] = true
 		g.Sinks = append(g.Sinks, offset+p)
 	}
-	var shellSources []int
 	for p := 0; p < total; p++ {
 		g.nodes[offset+p].posFrac = float64(p) / float64(total)
 		g.nodes[offset+p].shell = shellIdx
 		if !isSink[p] {
 			g.Sources = append(g.Sources, offset+p)
-			shellSources = append(shellSources, offset+p)
 		}
 	}
 
@@ -313,35 +299,36 @@ func layCluster(g *Graph, offset, shellIdx, sats int, cl isl.Topology, geom isl.
 			}
 		}
 	}
-	return shellSources
 }
 
-// buildMultiShell lays every shell's cluster fabric at consecutive node
-// offsets (shell 0 lowest, exactly the legacy layout per shell) and then
-// wires the inter-shell cross-links last, so intra-shell link IDs match a
-// stack of independent single-shell graphs and cross-links take the
-// highest IDs deterministically. Cross-link latency is the altitude gap
-// over c; capacity derates with the gap against interShellRefKm.
-func buildMultiShell(ts TopologySpec) *Graph {
+// buildStack lays every shell's cluster fabric at consecutive node offsets
+// (shell 0 lowest) and then wires the inter-shell cross-links last, so
+// intra-shell link IDs match a stack of independent one-shell graphs and
+// cross-links take the highest IDs deterministically. Cross-link latency
+// is the altitude gap over c; capacity derates with the gap against
+// interShellRefKm.
+func buildStack(ts TopologySpec) *Graph {
+	shells := ts.stack()
 	total := 0
-	for _, sh := range ts.Shells {
+	for _, sh := range shells {
 		total += sh.Sats + sh.Cluster.Split
 	}
 	g := newGraph(total)
 	cap := float64(ts.Tech.Capacity)
-
-	sources := make([][]int, len(ts.Shells))
 	offset := 0
-	for i, sh := range ts.Shells {
-		n := sh.Sats + sh.Cluster.Split
-		geom := isl.OrbitSpacedGeometry(sh.AltKm, n)
-		sources[i] = layCluster(g, offset, i, sh.Sats, sh.Cluster, geom, cap, ts.QueueSec*cap)
-		offset += n
+	for i, sh := range shells {
+		layCluster(g, offset, i, sh, cap, ts.QueueSec*cap)
+		offset += sh.Sats + sh.Cluster.Split
 	}
 
+	// Each shell appended exactly its Sats sources, so shell i's
+	// satellites are the g.Sources entries from first on.
+	first := 0
 	for i, rule := range ts.InterShell {
-		lo, hi := sources[i], sources[i+1]
-		rangeKm := math.Abs(ts.Shells[i+1].AltKm - ts.Shells[i].AltKm)
+		lo := g.Sources[first : first+shells[i].Sats]
+		first += shells[i].Sats
+		hi := g.Sources[first : first+shells[i+1].Sats]
+		rangeKm := math.Abs(shells[i+1].AltKm - shells[i].AltKm)
 		delay := rangeKm / lightSpeedKmS
 		xcap := cap * interShellRefKm / (interShellRefKm + rangeKm)
 		queueBits := ts.QueueSec * xcap
@@ -364,9 +351,9 @@ func buildMultiShell(ts TopologySpec) *Graph {
 			}
 			g.addLink(lo[a], hi[b], xcap, delay, queueBits)
 			g.addLink(hi[b], lo[a], xcap, delay, queueBits)
+			g.crossShell += 2
 		}
 	}
-	g.crossShell = countCrossShell(g)
 	return g
 }
 
@@ -387,30 +374,13 @@ func nearestByPos(g *Graph, from int, candidates []int) int {
 	return best
 }
 
-// countCrossShell tallies links whose endpoints sit in different shells.
-func countCrossShell(g *Graph) int {
-	n := 0
-	for _, l := range g.Links {
-		if g.nodes[l.From].shell != g.nodes[l.To].shell {
-			n++
-		}
-	}
-	return n
-}
-
 // buildGEOStar wires every EO satellite straight to its assigned GEO sink.
 func buildGEOStar(ts TopologySpec) *Graph {
-	sinks := ts.GEOSinks
-	if sinks == 0 {
-		sinks = 3
-	}
-	if sinks > ts.Sats {
-		sinks = ts.Sats
-	}
+	sinks := ts.geoSinks()
 	g := newGraph(ts.Sats + sinks)
 	cap := float64(ts.Tech.Capacity)
 	queueBits := ts.QueueSec * cap
-	slantKm := orbit.GeostationaryAltitudeKm - ts.lowAlt()
+	slantKm := orbit.GeostationaryAltitudeKm - ts.stack()[0].AltKm
 	delay := slantKm / lightSpeedKmS
 	for s := 0; s < sinks; s++ {
 		g.Sinks = append(g.Sinks, ts.Sats+s)
@@ -426,19 +396,6 @@ func buildGEOStar(ts TopologySpec) *Graph {
 	return g
 }
 
-// shellAltsKm returns one altitude per shell — the single spec altitude
-// for legacy specs — indexing the per-shell eclipse geometry.
-func (ts TopologySpec) shellAltsKm() []float64 {
-	if len(ts.Shells) == 0 {
-		return []float64{ts.lowAlt()}
-	}
-	alts := make([]float64, len(ts.Shells))
-	for i, sh := range ts.Shells {
-		alts[i] = sh.AltKm
-	}
-	return alts
-}
-
 // eclipseFractionAt returns the fraction of the orbit a satellite spends
 // in Earth shadow at the given altitude, and the orbital period, for the
 // fault layer's eclipse sweep. A mid-inclination plane near equinox is
@@ -448,10 +405,4 @@ func eclipseFractionAt(altKm float64) (frac float64, periodSec float64) {
 	period := el.Period()
 	frac = orbit.EclipseFraction(el, eclipseEpoch, period, period/240)
 	return frac, period.Seconds()
-}
-
-// orbitalPeriodSec returns the plane's orbital period in seconds.
-func (ts TopologySpec) orbitalPeriodSec() float64 {
-	a := orbit.EarthRadiusKm + ts.lowAlt()
-	return 2 * math.Pi / math.Sqrt(orbit.EarthMuKm3S2/(a*a*a))
 }

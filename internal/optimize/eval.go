@@ -212,13 +212,12 @@ func (ev *Evaluator) specFor(d econ.Design) (netsim.TopologySpec, error) {
 	if d.Shells <= 1 {
 		return netsim.DesignTopology(d.Planes, d.SatsPerPlane, d.AltitudeKm, d.K, d.Split, d.GEOSinks, ev.cfg.Tech)
 	}
-	shells := make([]netsim.ShellParams, d.Shells)
+	shells := make([]netsim.ShellSpec, d.Shells)
 	for i := range shells {
-		shells[i] = netsim.ShellParams{
-			SatsPerPlane: d.SatsPerPlane,
-			AltKm:        d.AltitudeKm + float64(i)*econ.ShellSpacingKm,
-			K:            d.K,
-			Split:        d.Split,
+		shells[i] = netsim.ShellSpec{
+			Sats:    d.SatsPerPlane,
+			Cluster: isl.Topology{K: d.K, Split: d.Split},
+			AltKm:   d.AltitudeKm + float64(i)*econ.ShellSpacingKm,
 		}
 	}
 	kind := netsim.InterShellAligned

@@ -233,6 +233,24 @@ func TestEvalRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestEvalRejectsOversizedNetsim asserts a netsim spec above the node
+// ceiling, one-plane or stacked, is refused with a 422 before any graph is
+// allocated, and the daemon stays healthy.
+func TestEvalRejectsOversizedNetsim(t *testing.T) {
+	s := New(Config{})
+	for _, body := range []string{
+		`{"netsim":{"sats":1099511627776,"per_sat_mbps":1}}`,
+		`{"netsim":{"shells":[{"sats":9},{"sats":1099511627776}],"per_sat_mbps":1}}`,
+	} {
+		if w := post(t, s, "/v1/eval", body); w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("body %s: status %d, want 422: %s", body, w.Code, w.Body.String())
+		}
+	}
+	if w := get(t, s, "/healthz"); w.Code != http.StatusOK {
+		t.Errorf("healthz after oversized specs: status %d", w.Code)
+	}
+}
+
 // TestEvalOverload asserts the admission gate: with one slot and no
 // queue, a second concurrent eval is rejected 429 with a Retry-After
 // hint while the first completes normally.
