@@ -102,7 +102,7 @@ func ExtMultishell() ([]report.Table, error) {
 			})
 		}
 	}
-	// Sweep fans the grid over pool.Shared() with ID-ordered reassembly, so
+	// Sweep fans the grid over the shared pool with ID-ordered reassembly, so
 	// the table is bit-identical at any -workers count.
 	for i, sr := range netsim.Sweep(scenarios, 0) {
 		if sr.Err != nil {

@@ -55,7 +55,7 @@ func ExtNetsim() ([]report.Table, error) {
 		sc.Faults = netsim.FaultConfig{LinkOutage: outage, LinkMTTRSec: 30}
 		scenarios = append(scenarios, sc)
 	}
-	// The sweep's per-scenario sub-jobs schedule into pool.Shared(), the
+	// The sweep's per-scenario sub-jobs schedule into the shared pool, the
 	// same token budget the sibling experiments draw on, so running this
 	// experiment inside RunAllWorkers adds parallelism without
 	// oversubscribing CPUs — and the ID-ordered reassembly keeps the table

@@ -47,14 +47,6 @@ func workloadShared() (workloadPipeline, error) {
 	return workloadCal, workloadCalErr
 }
 
-// WorkloadPipeline returns the shared calibrated pipeline: the measured
-// network stage, the compute stage, and the admission capacity the preset
-// policies are sized to.
-func WorkloadPipeline() (qos.NetworkConfig, qos.ComputeConfig, float64, error) {
-	c, err := workloadShared()
-	return c.net, c.comp, c.admitPerSec, err
-}
-
 // calibrateWorkload measures the pipeline once.
 func calibrateWorkload() (workloadPipeline, error) {
 	// A shortened ring-16 run is enough to find the saturation point; the

@@ -86,36 +86,6 @@ func TestKListReceiverCount(t *testing.T) {
 	}
 }
 
-func TestAdoptStatePreservesQueuesAndFaults(t *testing.T) {
-	spec := TopologySpec{
-		Kind: ClusterTopology, Sats: 6, Cluster: isl.Ring,
-		Tech: isl.RFKaBand, QueueSec: 1,
-	}
-	old, err := BuildGraph(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Links[0].q = []segRun{{segment{flow: 1, seq: 1, bits: 50}, 2}}
-	old.Links[0].qBits = 100
-	old.Links[0].headDone = 20
-	old.Links[2].Up = false
-	old.nodes[3].Up = false
-	fresh, err := BuildGraph(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.adoptState(old)
-	if l := fresh.Links[0]; l.queuedSegs() != 2 || l.qBits != 100 || l.headDone != 20 {
-		t.Error("queue lost across topology rebuild")
-	}
-	if fresh.Links[2].Up {
-		t.Error("link outage state lost across rebuild")
-	}
-	if fresh.nodes[3].Up {
-		t.Error("satellite failure state lost across rebuild")
-	}
-}
-
 func TestGEOStarAssignsEverySatellite(t *testing.T) {
 	g, err := BuildGraph(TopologySpec{
 		Kind: GEOStarTopology, Sats: 10, Tech: isl.Optical10G, QueueSec: 1,

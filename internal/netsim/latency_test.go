@@ -118,20 +118,31 @@ func TestNetsimLatencyHistogramTracksExact(t *testing.T) {
 // latency slice or per-segment queue entries would show up here as
 // allocations linear in offered load. TestNetsimRunBytesFlat checks the
 // bytes, which a reused slice that doubles as it grows hides from a count.
+//
+// The graph is built once per run, so an epoch boundary costs a full route
+// recompute over reused buffers and nothing else: sixty boundaries must
+// allocate no more than one.
 func TestNetsimRunAllocsFlat(t *testing.T) {
-	run := func(rateScale float64) func() {
+	run := func(rateScale, epochSec float64) func() {
 		sc := faultHeavyScenario()
 		sc.PerSat = units.DataRate(float64(sc.PerSat) * rateScale)
+		sc.EpochSec = epochSec
 		return func() {
 			if _, err := Run(sc); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	low := testing.AllocsPerRun(3, run(1))
-	high := testing.AllocsPerRun(3, run(10))
+	low := testing.AllocsPerRun(3, run(1, 0))
+	high := testing.AllocsPerRun(3, run(10, 0))
 	if high > low*1.5+64 {
 		t.Errorf("10× offered load cost %v allocs vs %v: latency/transport accounting is not memory-flat", high, low)
+	}
+	dur := faultHeavyScenario().DurationSec
+	oneEpoch := testing.AllocsPerRun(3, run(1, dur))
+	everySec := testing.AllocsPerRun(3, run(1, 1))
+	if everySec > oneEpoch+4 {
+		t.Errorf("%v epoch boundaries cost %v allocs vs %v for one: a boundary allocates", dur, everySec, oneEpoch)
 	}
 }
 

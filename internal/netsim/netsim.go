@@ -1,13 +1,13 @@
 // Package netsim is a time-stepped, flow-level simulator of the
 // EO-constellation → SµDC relay network. Where internal/isl checks the
 // paper's Table 8 capacity model against a *static* flow-conservation
-// graph, netsim runs the network forward in time: a topology driver
-// rebuilds the link graph (ring, k-list, split clusters, GEO star) at a
-// configurable epoch interval, per-link FIFO queues carry segmented flows
-// under shortest-path routing that recomputes whenever the topology or
-// fault state changes, a fault layer injects link outages (random pointing
-// loss and eclipse sweeps) and whole-satellite failures with MTBF/MTTR
-// dynamics, and a transport layer retransmits lost segments with
+// graph, netsim runs the network forward in time: the link graph (ring,
+// k-list, split clusters, GEO star) is built once per run, per-link FIFO
+// queues carry segmented flows under shortest-path routing that is
+// repaired whenever the fault state changes and recomputed in full at a
+// configurable epoch interval, a fault layer injects link outages (random
+// pointing loss and eclipse sweeps) and whole-satellite failures with
+// MTBF/MTTR dynamics, and a transport layer retransmits lost segments with
 // exponential backoff. A metrics layer records per-link utilization,
 // queue depth, and drops plus per-flow delivered throughput and latency
 // percentiles; a worker-pool sweep runner executes many scenarios in
@@ -29,7 +29,7 @@ import (
 // Default simulation parameters, applied by Scenario.withDefaults.
 const (
 	DefaultStepSec     = 0.1
-	DefaultEpochSec    = 60
+	DefaultEpochSec    = 60 // interval between full route recomputes
 	DefaultDurationSec = 300
 	DefaultSegmentBits = 1e6
 	DefaultQueueSec    = 1.0
@@ -66,7 +66,8 @@ type Scenario struct {
 	Transport   TransportConfig
 	// StepSec is the simulation time step. Zero means DefaultStepSec.
 	StepSec float64
-	// EpochSec is the topology-driver rebuild interval. Zero means
+	// EpochSec is the interval between full route recomputes; fault
+	// transitions in between take the incremental repair. Zero means
 	// DefaultEpochSec.
 	EpochSec float64
 	// DurationSec is the simulated span. Zero means DefaultDurationSec.

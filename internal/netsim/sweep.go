@@ -21,7 +21,7 @@ type SweepResult struct {
 // in SweepResult.Err, never aggregated, so a failing scenario stays
 // attached to its own grid position.
 //
-// Because the sweep schedules into pool.Shared(), a Sweep nested inside a
+// Because the sweep schedules into the shared pool, a Sweep nested inside a
 // pooled experiment (the ext-netsim sub-jobs) draws on the same global
 // token budget as its sibling experiments instead of oversubscribing the
 // machine with a private worker set.

@@ -77,8 +77,8 @@ type InterShellRule struct {
 // in-plane fabric. Its latency is range/c.
 const interShellRefKm = 500.0
 
-// TopologySpec describes the network the time-stepped driver rebuilds at
-// every epoch. Validation, building and the fault layer read every spec
+// TopologySpec describes the network a run builds once and keeps for its
+// whole span. Validation, building and the fault layer read every spec
 // as a shell stack (see stack): the one-plane fields Sats, Cluster and
 // LowAltKm are shorthand for a one-shell stack, and Shells spells a stack
 // out.
@@ -228,9 +228,8 @@ func (ts TopologySpec) TotalSats() int {
 
 const lightSpeedKmS = 299792.458
 
-// BuildGraph constructs the structural link graph for the spec. The
-// time-stepped driver calls it at every epoch; Graph.adoptState then
-// carries queue and fault state across the rebuild.
+// BuildGraph constructs the structural link graph for the spec. Run calls
+// it once; the graph's links and nodes then stay fixed for the run.
 func BuildGraph(ts TopologySpec) (*Graph, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err

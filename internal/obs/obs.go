@@ -50,14 +50,6 @@ func WithWallClock() Option {
 	}
 }
 
-// WithClock installs a custom clock.
-func WithClock(c Clock) Option {
-	return func(r *Registry) {
-		r.clock = c
-		r.sim, _ = c.(*SimClock)
-	}
-}
-
 // New builds a registry. By default it runs on an internal SimClock that
 // the instrumented simulator advances via SetTime, so all timestamps are
 // deterministic simulation times.

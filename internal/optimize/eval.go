@@ -37,7 +37,8 @@ type EvalConfig struct {
 	// evaluation).
 	LinkOutage float64
 	// NetStepSec / NetEpochSec / NetDurationSec size the netsim run
-	// (defaults 0.2 / 10 / 20).
+	// (defaults 0.2 / 10 / 20); NetEpochSec is the interval between full
+	// route recomputes.
 	NetStepSec     float64
 	NetEpochSec    float64
 	NetDurationSec float64

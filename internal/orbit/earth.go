@@ -43,9 +43,6 @@ const (
 	SunRadiusKm = 695700.0
 )
 
-// GeostationaryRadiusKm returns the geocentric radius of GEO in km.
-func GeostationaryRadiusKm() float64 { return EarthRadiusKm + GeostationaryAltitudeKm }
-
 // Geodetic is a position on or above the WGS-84 ellipsoid.
 type Geodetic struct {
 	LatRad float64 // geodetic latitude, radians, +north

@@ -31,8 +31,8 @@ import (
 )
 
 // Pool bounds helper-goroutine concurrency with a token budget. The zero
-// Pool is unusable — build one with New, or use the process-wide Shared
-// pool.
+// Pool is unusable — build one with New, or use the shared pool through
+// the package-level Map and MapObs.
 type Pool struct {
 	tokens chan struct{}
 }
@@ -57,12 +57,6 @@ func New(budget int) *Pool {
 // the machine fully used without oversubscription, no matter how deeply
 // sweeps nest inside experiments.
 var shared = New(-1)
-
-// Shared returns the process-wide pool every production fan-out schedules
-// into.
-func Shared() *Pool {
-	return shared
-}
 
 // Map runs fn over job IDs 0..n-1 and returns the lowest-ID error (nil when
 // every job succeeded). See MapObs for the scheduling contract.

@@ -266,7 +266,7 @@ type Stats struct {
 	Arrived   int
 	Processed int
 	Dropped   int
-	LeftOver  int // still queued or in flight at the end
+	LeftOver  int // still queued at the end (frames in service were counted at launch)
 
 	MeanLatencySec float64 // arrival → batch completion, processed frames
 	P95LatencySec  float64
@@ -560,7 +560,7 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		}
 	}
 
-	stats.LeftOver = stats.Arrived - stats.Processed - stats.Corrupted - stats.Dropped
+	stats.LeftOver = len(queue)
 	stats.Utilization = stats.BusySec / cfg.DurationSec
 	if stats.Utilization > 1 {
 		stats.Utilization = 1

@@ -77,6 +77,19 @@ func TestConservation(t *testing.T) {
 	if st.MeanLatencySec <= 0 || st.MaxLatencySec < st.P95LatencySec || st.P95LatencySec < 0 {
 		t.Errorf("latency stats inconsistent: %+v", st)
 	}
+
+	// Slow device: the queue overflows and still holds frames at the end,
+	// so Dropped and LeftOver both enter the identity.
+	slow, err := Simulate(cfg, fixedRate{pixelsPerSec: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.Dropped == 0 || slow.LeftOver == 0 {
+		t.Fatalf("slow device should drop frames and end with a queue: %+v", slow)
+	}
+	if slow.Arrived != slow.Processed+slow.Dropped+slow.LeftOver {
+		t.Errorf("conservation violated: %+v", slow)
+	}
 }
 
 func TestOverloadDropsFrames(t *testing.T) {

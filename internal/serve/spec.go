@@ -56,7 +56,7 @@ type NetsimSpec struct {
 	PerSatMbps  float64 `json:"per_sat_mbps"`
 	SegmentBits float64 `json:"segment_bits,omitempty"`
 	StepSec     float64 `json:"step_sec,omitempty"`
-	EpochSec    float64 `json:"epoch_sec,omitempty"`
+	EpochSec    float64 `json:"epoch_sec,omitempty"` // interval between full route recomputes
 	DurationSec float64 `json:"duration_sec,omitempty"`
 	WarmupSec   float64 `json:"warmup_sec,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`

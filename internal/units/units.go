@@ -96,9 +96,6 @@ const (
 	Megawatt  Power = 1e6
 )
 
-// Watts returns the power in watts.
-func (p Power) Watts() float64 { return float64(p) }
-
 // ForDuration returns the energy consumed by running at p for sec seconds.
 func (p Power) ForDuration(sec float64) Energy {
 	return Energy(float64(p) * sec)
@@ -137,9 +134,6 @@ const (
 // Meters returns the length in meters.
 func (l Length) Meters() float64 { return float64(l) }
 
-// Kilometers returns the length in kilometers.
-func (l Length) Kilometers() float64 { return float64(l) / 1e3 }
-
 // String formats lengths ≥ 1 km in km, sub-meter lengths in cm, else m.
 func (l Length) String() string {
 	v := float64(l)
@@ -161,9 +155,6 @@ const (
 	SquareMeter     Area = 1
 	SquareKilometer Area = 1e6
 )
-
-// SquareMeters returns the area in m².
-func (a Area) SquareMeters() float64 { return float64(a) }
 
 // Angle is in radians.
 type Angle float64
@@ -205,9 +196,6 @@ const (
 	Terahertz Frequency = 1e12
 )
 
-// Hz returns the frequency in hertz.
-func (f Frequency) Hz() float64 { return float64(f) }
-
 // Wavelength returns the free-space wavelength for this frequency.
 func (f Frequency) Wavelength() Length {
 	const c = 299792458.0 // speed of light, m/s
@@ -229,9 +217,6 @@ const (
 	Million Money = 1e6
 	Billion Money = 1e9
 )
-
-// Dollars returns the amount in USD.
-func (m Money) Dollars() float64 { return float64(m) }
 
 // String formats money, e.g. "$3.2M".
 func (m Money) String() string {
