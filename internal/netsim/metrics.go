@@ -43,7 +43,6 @@ type Result struct {
 	// Loss and recovery accounting.
 	LinkDrops    int // queue overflow + satellite-failure purges
 	NoRouteDrops int // segments emitted while the source was partitioned
-	RebuildDrops int // segments queued on links that vanished at an epoch rebuild
 	Retransmits  int
 	Duplicates   int // copies arriving after an earlier copy already did
 	// LateAbandoned counts copies that arrived only after the source
@@ -52,16 +51,16 @@ type Result struct {
 	LateAbandoned int
 	Abandoned     int // segments that exhausted their attempt budget
 
-	// Dynamics accounting. RouteRecomputes counts every routing update
-	// (full BFS or incremental); RouteRepairs is the subset triggered by
-	// fault/eclipse transitions between epoch rebuilds, which the
+	// Dynamics accounting. RouteRecomputes counts every routing update:
+	// the full BFS at the start and at each step that crosses an epoch
+	// boundary, plus the incremental ones. RouteRepairs is the subset
+	// triggered by fault/eclipse transitions between boundaries, which the
 	// incremental maintainer services by subtree repair instead of a full
 	// recompute.
-	FaultEvents      int
-	TopologyRebuilds int
-	RouteRecomputes  int
-	RouteRepairs     int
-	PeakQueueBits    float64
+	FaultEvents     int
+	RouteRecomputes int
+	RouteRepairs    int
+	PeakQueueBits   float64
 }
 
 // finalizeLinks folds per-link counters into the result.

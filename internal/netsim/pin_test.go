@@ -98,49 +98,49 @@ func pinScenarios(t *testing.T) []Scenario {
 // pinnedNetsim holds, per scenario, the digest of the bare Result and of
 // the instrumented Result followed by its registry Snapshot.
 var pinnedNetsim = map[string][2]string{
-	"ring-8-outage0":       {"9ae75d13f1e7699cb3dac841d8bd81c1910ebe31956749a65c88b00f8610b232", "e70008a70d3681ce0c5393cbbf808e0d5bf104cc419a65c5de980aa0b2eb8e32"},
-	"ring-8-outage0.05":    {"c5bf524883ffd504dc0c15430de95b52ca107070399126ec5c88e1262a69ded5", "c2ef4a851c0792b9b29a6c304be201d3809aa1916efe916ab821ab0fe6ca62d0"},
-	"ring-12-outage0":      {"74275f637f10f2dea2f0c7a6f042451cd9cffea9a17c84dcd3c01807656edc9c", "1ad39ade9372ebc7c24827b5eb9d0f0db92ff8f290fc5afc5b99c9aa023dda9c"},
-	"ring-12-outage0.05":   {"47c1192fd14191ec18aa743f9655e420333bf03b89055b60383c73b94a5ec814", "a028eafad642b7c80b7f292f1d48569977e52bb4e8ecdbc8c1c574bfe934b713"},
-	"ring-16-outage0":      {"3c38aedd4afecf7e265bbd88375146b5abf1edb14fa640deb97e77d65ac226df", "42cbbf5230a009f751840986e3bf9808c6c681e494c1f0754c9cccd9863e3ddf"},
-	"ring-16-outage0.05":   {"98a4923b3a96546314176d9980b10e27c269f071fa786299c67319e0273b731f", "f35ed09e5264fcafaf7f6962f8c11ab5a0b4c4c2718c1bd9c4b3d99b3c03e44d"},
-	"ring-24-outage0":      {"fe78f4bc14c98806e05a739efac681a659297455586f532b419ed6788b3ff768", "64660440603a26d0e078e8d38e765cdf83a10d6e23413ed60a6f05b4a1c53188"},
-	"ring-24-outage0.05":   {"3bab96aa2c61b84e64bfa7ec47bfd902cd478a7062cbfbb1e0a7f21e6b5d8a29", "77496de71805be13d2f6adf07650f75756ed90b8876a18f5590512bed17a25dc"},
-	"k4x1-8-outage0":       {"f78698ba97a3b723e0f4a15d923e6bd0dc554ae8150def2f3b8458b7b29fa9df", "d481b5269b2416937f34f6641b477a6dfb6de100283766e98b86381352101d47"},
-	"k4x1-8-outage0.05":    {"319464a4e37abad90060986ad9d4942ecabfd5235e13e6a6cbeba6e3f8d9e1bf", "5b2c03cf6179189e8a20fe772e87cfdac814a9996b4f2b41d38b9930395cc310"},
-	"k4x1-12-outage0":      {"53613a7d6d693852009d9efad6a5ea335af31f91d8a200f6d33f645601a3c334", "fd030c1964f2ca149dbc8956f53cf9c16397e0712e1b24160c92732aef286294"},
-	"k4x1-12-outage0.05":   {"0ba76beae2be396cdb742f54ce6eef955adc98bcec88ba9bfdbfaa082bd65c84", "95e4d6c6ecc03c3f4c2d25f0e171ed7bf2fc626f985e37a2c030bbd1aca3e0b5"},
-	"k4x1-16-outage0":      {"fd66bf416ed0cacf9b5c18a8ca45adbc28cb3eaf49d4812b31564204689c7dc8", "1e1dd0b10b7f8769d45e9e2f5c13ddd538473c0961ab826569aa150161c821f2"},
-	"k4x1-16-outage0.05":   {"05dc57e5b114ef002c953f88a79f2b51bcfb9f0431fc112cd6ed37dbd687ec4e", "f831adad5bd1f24eaedcbf96c4de9655d596bb47d5680479c40dd617970a6dcb"},
-	"k4x1-24-outage0":      {"6c8d093350b303efd271730aa410a1fc6005491d13593442c51cda10d11138dc", "f1ff1b75d9c834a2b94caa0a510a2138c3a4bb36f34fd6b57c7b852149adb950"},
-	"k4x1-24-outage0.05":   {"e7e910d33be405bbeb3ca09ab93c93727caf86f12594da57a2600edc8f734137", "7f520272536a855beb35bdfdf12acf7189445884bddfd8cdab7b73f1382c7898"},
-	"k4x2-8-outage0":       {"08de72d0a75640649a2550ef9222bef4acd18548025ded6e304e8ebd568ad711", "3a147dea2afe0409f57b9c4058ccf324bd72ff374016657309e687790bd439cc"},
-	"k4x2-8-outage0.05":    {"c2db328f60694d93f2b7df694c1a98f483f9cb260822c1690cace5e8f479a9da", "6e575beb560ea55a91b5d55bea1c1397be5c13bcdbbd4bfa2c6588aa0308d091"},
-	"k4x2-12-outage0":      {"07ef8a997c6a1c4eea6fe21e86717f450a66dae79729f2a380693e83c31e0687", "b17c2dc6eabc17f1eb7ceb36afebd5a66214ab16553c9399bf569369a7a81a5a"},
-	"k4x2-12-outage0.05":   {"1892275eca0c37d942c2842d8632a3c51619df5498a3f0781a0518ec6828c39c", "4524dfbe3f19d37d16884565a369f0dc00c93c815d893eca767f9b6b621fe4a9"},
-	"k4x2-16-outage0":      {"ce6d4d137186752bc18ce8c7fa88346baf5e5679f23750b001c12fee119a51a9", "8b3201e6a88de1660c5603084d57449269ff1199f74cf42fb19c6b1d95b91d21"},
-	"k4x2-16-outage0.05":   {"231ce471b1f4b61475cc913694d80e0d85d7c687d816f52fcaa3f2fa163dd426", "5bf6f1ac5cc75057e75d066af8cc200e7f973ae0c25b7b0da2b0367b17374b18"},
-	"k4x2-24-outage0":      {"d52eb8ec4a72ed389d428053bcac41dea8e32d06770ae4f30babecf87b2f820d", "d3388e0986a2e280b11d8eccab11b931207264fe6fa52b7e9f7dcb0bd261d524"},
-	"k4x2-24-outage0.05":   {"54b2a45e173ce6021984336370ebb4b774344781bb4f3238bede7a49ee32fb88", "e44874f80dcbdbbd323589549f7f31fdbd3bfd3610c17c2343804098a23637fb"},
-	"k6x2-12-outage0":      {"35598a4cc2a3a961e7a4c2579d59d9e0c3f2a66f9b7a900bf3aa9c50fb11eff2", "bb55c6aefd8c62d025deedac630bf23e5a51ba5372bf7fd49082f20b4528704b"},
-	"k6x2-12-outage0.05":   {"1c9aed3be7e46ad21781ae76d92b383cc1f4672846c23d2d289de4d5c041c143", "1c25326a7bff638491e305da2a50a74efe446016c70da5927c6d8f485ce38eb2"},
-	"k6x2-16-outage0":      {"748c07dbe0c3248c5699395c0ea2db611044122f437e1ccaa3cf4feaab539688", "21a18ef1bd2182fc524e98248d02ae03959e5947f37c2f4dc3d9d7bc2f7e00a4"},
-	"k6x2-16-outage0.05":   {"9672326e3766ab8622ad6c6dcaed4f0e46d238fb398f5556a4b760555704426d", "4ec246e2858e9600a1ce7890ec4d5d807a9e38c6955a8ee6f14b685e062a2142"},
-	"k6x2-24-outage0":      {"6f9ab6915e2bf5a9bb0bbdcbd94ed8ed24aae7c6af869f99b31ceecc8241438a", "04164ceeb7a46ab981cfa41a01e8e8c5803bea3deb9a0406d650abe93173e59c"},
-	"k6x2-24-outage0.05":   {"81fdc8214a75edafdb497776aad8c0f8975a6f629ae8e710b645075588c60b67", "1a7ecfcdb83ce09b053e1a2afd293223bc7e385278e4dca110381911ec90cd11"},
-	"geo3-8-outage0":       {"d20991f1d670e9db58507a07c6d5d72198ccb2f66393a48343e4fba1934e0cd6", "9e29a1e131c672e05dbb4f0fd566ac6aa3a1c0fd503346a213d14e6908c04152"},
-	"geo3-8-outage0.05":    {"4b85d84281988d7ce6a9f1212a463238d756601dfba59e669857d4ec69040b99", "0049eb63a8b09ce9a4610491a0ec3ca5977aaa73b893dbd1ed16b52a09643792"},
-	"geo3-12-outage0":      {"39155eb005bf3fd518e06dc380804c7afb8e738dce67cb4a41521360a82a6372", "ab5a0e466a4ab3ae04d7ffc8a7e8d614dcfc0164cbcc41c434cf348bd493a3d1"},
-	"geo3-12-outage0.05":   {"49c6e50b628a770d3675e200dc448424d9bcfd11b3f1ab50c8a7cbcade47fdf2", "d048592e15086e7e7e5b32473e360753d5fa35f4543af3f8e9ab796e008733a3"},
-	"geo3-16-outage0":      {"00d75acae457e97c8cdebab8d9e02fa5a577ee3bb3cd7add928a18cbec2140f5", "b8eb466782a371583c3a340872ae354ac5e72db1bd23e1ac1bac9a34a7218cd3"},
-	"geo3-16-outage0.05":   {"f10635aa55b2050bc27c69e15eb72911bc50ad8eb0adc314927f973b72dfa084", "815cb83bec4d657f7fcf04522508842aed63967a37d443f45ebef94f602eab4d"},
-	"geo3-24-outage0":      {"f2c5a425c3d542a59099150e9813568e2c0354a3950d8cdc9c4f1a2e1450c483", "540b4e54cf3ded74e2aaa94e75a53a5be63f60eb891dae69298e6faa45a2372e"},
-	"geo3-24-outage0.05":   {"6172aca8077470dcf9c5bb4133fd2696fe87d77d9075013d1a496ee4513d633e", "e61718a905cab7492a4e463bc310028cdfb8080c16365d7b0c8cbb3731ecb62f"},
-	"rf-ring-heavy-outage": {"9b6ad888a18d912a795ca7614a8d6fce49d35fb1f2e5c1c5d9fbfb03f272885f", "c6a1383dfbe846ff5a1627ca87834fd1b4c55678c07a1a66f66f629fb3550938"},
-	"rf-ring-sat-failures": {"183afee60ad6a7dd4dbd364746367cba8191f0035cf42f355bdc4a7ccd557a40", "fccacca200f0856f8d5cb1c764e4ec811a7f26de59160189aaaee6d7d6caa2d3"},
-	"k4x2-eclipse":         {"d28b1108421eeddd4dc78173a587b3536ce037c53efac731ec9fbd590f11f3d7", "23f8efe06fce358bdfac950432878f1404040da3d68fe5c5617752d3b2d4e27d"},
-	"big-grid":             {"8cf64b7bb66318338d4b624b1fb53b20f9b709b15dba6a41cc6acbbe7b2e025c", "78b95ebd69bed3be586a46af1d218065533faa6a27fbb4ac6a1b77eed95eef42"},
-	"2shell-nearest":       {"54e32054f5586522ecb24f316463d0097732dbaea9bf3dea8386717bf392bf6b", "5cf7d75578292c1fec00906d98304333a55957d1e2424e4b6cdcd05a6784b76e"},
+	"ring-8-outage0":       {"190f5646c588e8832c2e9106ff5f061ae22d3053623ff118807f5b4e975fc4ad", "753d497ae82d801321c831ec7b834a55db455cd8598af5038d7a72c4c3bff23f"},
+	"ring-8-outage0.05":    {"86eb27378726eca66a11570733decf7c9089f225b47e3e40df0b1966db97f88d", "b71b357109d24c989cb928cffb5bc3aed59b929e472a4ded924e19ed5794be1c"},
+	"ring-12-outage0":      {"2cfa010b2a6f3192e31cacd10b051bf4c325630ef81de4419614cdb71f297cfb", "1be5228534d72990d3837d1b1b06fdba8befb1a12473a72d6abe978b65d3b3d1"},
+	"ring-12-outage0.05":   {"e9193de0bd1e7cf6fd4f30c92c328f57ae5c0720ef6f45d6e3ee0ef649f8d8d8", "61053327b290889f15d020be753cd47abc4cadb9f4c6803a26fbbf35b7d3634c"},
+	"ring-16-outage0":      {"88dc65f21a3ca569a562decd8696510ae2688effadc7ef5639c113c609119db3", "67ea86f6280b120709edeb8ff33b9f7d530ea2847541added32e96235b1a5945"},
+	"ring-16-outage0.05":   {"c9e7c78d64c26611aec7aa71e6669db4ec10618a80486fff44311e2a7ee400fc", "a65862c75de7ed2e7107a31d5843520dd5578fcdb289a2a3e6efa0183e38e44b"},
+	"ring-24-outage0":      {"f56a6cd3e735645af61625c846facc69d09087108bb0f640f706ee04d3fdc895", "3396650d54f13ead0413b1d9a6b06ef2774ccbf095bc87107e3362ac6b74cebc"},
+	"ring-24-outage0.05":   {"3f3141dc8b1d65f14b2e720cf5074b5d534859c58e7eeefdc3876f978ab0d876", "7c2688e5ce05702ce1c559f03ea2c5e1c5447ec0c1c9f87ada8b0255b9a2ebf7"},
+	"k4x1-8-outage0":       {"da47cdd5f54b4091acee1c90f1ae4cb36cf54e19fbdd3a8b6af17f38c1a6e9d6", "7808fbb3ec0748139ee59f1982a0870a50eb910c0a5e41ee6b7aa2e7951cc524"},
+	"k4x1-8-outage0.05":    {"756d2cd7559c425399be06714cf7bcfd7c3fe6bbd25f49ecc24d443eb1bd6c2e", "04139580954c61643f7b80ce2d6bfd4eef977079e8630f87bb37a00ed7a41115"},
+	"k4x1-12-outage0":      {"5dc734bd3a7e5bd42d87a41352ac965602b1faee7ca5ff5636a4d7d951c0796d", "2aad4074899fb106507ee6de05b6e5c6d721acf8f980556ebc2d6f2b709bb115"},
+	"k4x1-12-outage0.05":   {"cddf3930296d1d690e94f0e7ec7a28a4beb35f018e5c2fb16aeb0a39754e80f3", "bfd64fbbeace609a2c6dc6296e9f2ff881a7829153b1650432f9d5b7982a3ac1"},
+	"k4x1-16-outage0":      {"8ac732a2ecef709844cdece00a3ccbf189360054b6adf6e5ae09aa2e108e4f18", "50565b9df9abbfe88a9401c2b78013f75758ef7de649761fc8871fbae0efb8c2"},
+	"k4x1-16-outage0.05":   {"1761f575500e753e61eefd9809e3986e77d884f3b76f1a0142314388d9fa1c12", "791c818bde6d0ae60f5f9de84fe029cb6457bbefc6f8d987ff3334ef17cd3968"},
+	"k4x1-24-outage0":      {"7e563e35a83e3e3bef2ca5df588e753c9bcf889b96a66b1e728621a30d7120eb", "c2f2e3546402126604aefc2db9296aedde2c01f88d9ac3de52f8133aeea15ac0"},
+	"k4x1-24-outage0.05":   {"2333cd10870dd82fab5cd67f03b1032ef25e01212bbf9bac0c8ceecdbec4672c", "d840d2abefab536aa8b60983c0b547f170875cd8cc2d939d7ea81bbdc65860a8"},
+	"k4x2-8-outage0":       {"27defb93f4df24bf7d909e52f343fd4f40a77b786f021a50b6641bc1b174a93a", "3b39e991f2c3385d33ff7e0d2dd099977917b2073dfd034c5342a59e3b41e124"},
+	"k4x2-8-outage0.05":    {"798d4ac59384a4e3c67b955d4f6f639bd98dbc628ff9d88f71cebd5eb9d88e04", "adb35201faae352642c0caf5c068a6d32b18e795fcde7c3a7434d8396f9cf01b"},
+	"k4x2-12-outage0":      {"bec9548945254a165ae378260e2e5250e56fa8a4a77a4f8ee7211ec2d3c5df41", "2611f91d570b8ff699f4780240313b30dab2950d25c37828ecc4ee5f56544806"},
+	"k4x2-12-outage0.05":   {"0a57e77dc7c67c345c317836f2b01c6534f47c8422b468e4edc0cc5b9589cbfc", "438100c2c42e617c44c9dcb2007d7dccaf7e6952ce1dc302ae5b9d44a4511417"},
+	"k4x2-16-outage0":      {"9cae0afa2e68dab72988f9094b2bb76a91a56642fed68d9ab797b0ee17096972", "725b45887c2260f337c7fcc0b423e6c64e13daa2cd882167be26bcb07e0cb6a2"},
+	"k4x2-16-outage0.05":   {"7f1eec26a4f7fea50d367aef3fd21d05c50f69cb8dad6467c3a5e1f2bd1d5a85", "355a2100df125160d996f1311f38db771967a444a740befee3d04042eef5e901"},
+	"k4x2-24-outage0":      {"3dc8f41a85e91945b92ccc35bd5034c59ee27fc9f34e3e7cecf6b163b4bd477c", "1afbb7682e3417d150b7a65c4d81ac7167a3b769ccf03e4940284b4c59c99ba0"},
+	"k4x2-24-outage0.05":   {"10821e4a304fcf4590f99b7c4a4fbe95a43e8cdfce43b5be673389d93a343702", "d56d11db7bc97e806cc24b24bd7bdb14395fb98e1c9f3869eabd3b813ae58e79"},
+	"k6x2-12-outage0":      {"9c0897eadd557b6b57361c0b62e40a2a09d4cbf149fb0ae1e9231e9cd880d5a8", "3c8eeb40fb3a4c750412c92a9395b28ac86dcb4025091cdf4b47a19ca6238524"},
+	"k6x2-12-outage0.05":   {"ed868dac84a5801318e3504bb71bbbc8c918b6bf456eff876ca44eb320de95e1", "a1955359322b920e65db06c183461122b90a6f5c7f41a38f754eae31b83684c2"},
+	"k6x2-16-outage0":      {"a23fc2e3b6a104fc9aaa516f23a32854b2ac1d415ae1bfa94ca41b3f52cb59ff", "75671dd068e53db96805c1d54125a614b9ce355eb244167afa9f0491d61087e2"},
+	"k6x2-16-outage0.05":   {"b77a5f5e4c3a1b9c6ed4948d44c62642230568658692816edb0cb39bbf5fc69e", "5ce50edab196c89b693117276e9984eebcf3b2c272b87f0fcdb5b0388e83a321"},
+	"k6x2-24-outage0":      {"71ebc670180fa6eed2f3a69dbeef47f86bf569df3ffb7db1137409e16df252e2", "de1bdaa9bafa96961e2b60f1e8319e82da6e35400ecb25b4dd059d712ef08626"},
+	"k6x2-24-outage0.05":   {"047fe97b2759ab4a49a150b0fd7dd36fb22af666f44b68030295f6be7f1511f1", "3390c571189373ef51a70681634c0c1bd30e93d4c73323badd2fd862194d5852"},
+	"geo3-8-outage0":       {"f20fd8b169c08b4ee60da9d5af3ac2016b137c8f19e7c90032ef3f3d7a6f5d8d", "2e7da37220fcae09ce2c95b6eb8663cba00666db58dd05e7f736921222d3ec1d"},
+	"geo3-8-outage0.05":    {"9e8db785c5085633cd7b33443d8c924381258a50a902d9e7315b2623eea5c247", "4bb018372687f059b036c7d0c6cb38fb84dc691dbf0b3853a4a9242c2ab83449"},
+	"geo3-12-outage0":      {"10989029b9cc2411f8643da4af2042f260795581409728c6ee4ecea149a19087", "b851cebd7b538e5a3a0de13e14f78eabb032c847c118078257551b4773da4b9f"},
+	"geo3-12-outage0.05":   {"e915fa2ebe57478ec8c97622ee81c26bc5c127eaf3e494f6140d537ae628da3a", "1587b984f04005cca6d72ff1adf0212288c752832cd19230d246cd4c86fb4eac"},
+	"geo3-16-outage0":      {"cdb6536758b753ca3d0bad1f6701192bd8fd8e7c8206b4978b53d571d310a3d0", "7d86bd189646cf39f6d089e9953175c5cee1b2567ae04a307be5ab565e532e71"},
+	"geo3-16-outage0.05":   {"3d33fee72d5921ef3c6c686f9e29bfe55d5d580cb357765cc6d8b26506ca525e", "42a86357801e7ba4b9910d0c69da5483ada1656d7b168291f58920b576351409"},
+	"geo3-24-outage0":      {"cf733f87b0342548f6140d2e5b1507cef1712f477d45ea6f9195f795d93d81ba", "b9c065bae45826eec1b678edbf3ca5ee807b914c387fad79c43a779a235fb986"},
+	"geo3-24-outage0.05":   {"49a13ca0968f051cde8c62ce0e9c031d87ddb8612e561fdb492d194deda7d12f", "727cc1116a03e4c15d5374ddeca3cbd2cb9a729101a4adce509c4ba09251a0fb"},
+	"rf-ring-heavy-outage": {"8bdb4a49eb60dc23babdfbd38626e88adb4e668df00f7954fee63f9b90b8bf2b", "f5a7dacbaa695b9637585f86f675cf30315f5c8eecc73081d745f7f208ba7342"},
+	"rf-ring-sat-failures": {"f6b06e92d37f4ebe298e51cfb9bf0fe5d14324a13a8f79d0320f9746d35b85ff", "fac7c374c9a7139e0dc49113a8d10fe492f9ce7d0c05219174df5d797e6028e5"},
+	"k4x2-eclipse":         {"ee9ef54e372c4dd364dbfa60e8c84469a31522f2999d09b72b69aa733bf5838f", "4cf54bb50a36a5d549e8861579932aa2423b46d3747b9505dac13bbaf8680d1f"},
+	"big-grid":             {"e6b51b51ff4689d8be127b6b7b9a8b9bd12b68128d94dc913e634800540c73f2", "70943adb87182695e813c70ba235b0dd4ccaac7713e6b55a2d8bba03dc1ae3c4"},
+	"2shell-nearest":       {"2cf10e2fcc919f4eec1d7789965886253867b252c69627a98fad2e1c63730387", "9a50bf778d8cb3c3d6d5e83b80403e5b592865797f135c1d71db3b0569ef6f53"},
 }
 
 // TestNetsimOutputsPinned compares every pin scenario's Result, bare and

@@ -106,7 +106,6 @@ func New(cfg Config) *Server {
 		"serve.eval.rejected", "serve.eval.deadline_exceeded",
 		"serve.eval.bad_requests", "serve.stream.run_dropped_events",
 		"serve.netsim.route_recomputes", "serve.netsim.route_repairs",
-		"serve.netsim.topology_rebuilds", "serve.netsim.rebuild_drops",
 		"serve.optimize.proposals", "serve.optimize.evaluated",
 		"serve.optimize.cache_hits", "serve.optimize.infeasible",
 		"serve.optimize.accepted", "serve.optimize.rejected",
@@ -373,12 +372,10 @@ func (s *Server) evaluate(ctx context.Context, key string, spec *EvalSpec, strea
 		resp.Netsim = &res
 		resp.Metrics = &snap
 		// Mirror the run's routing-dynamics counters into the daemon
-		// registry, aggregating the routing load (and rebuild losses)
-		// served across all netsim evaluations.
+		// registry, aggregating the routing load served across all netsim
+		// evaluations.
 		s.reg.Counter("serve.netsim.route_recomputes").Add(res.RouteRecomputes)
 		s.reg.Counter("serve.netsim.route_repairs").Add(res.RouteRepairs)
-		s.reg.Counter("serve.netsim.topology_rebuilds").Add(res.TopologyRebuilds)
-		s.reg.Counter("serve.netsim.rebuild_drops").Add(res.RebuildDrops)
 
 	case spec.Sched != nil:
 		if err := ctx.Err(); err != nil {
