@@ -36,7 +36,7 @@ func run(b *testing.B, id string) []report.Table {
 	var tables []report.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		tables, err = experiments.Run(context.Background(), id)
+		tables, err = experiments.RunWorkers(context.Background(), nil, id, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,13 +244,13 @@ func BenchmarkRunAll(b *testing.B) {
 	var tables []report.Table
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := experiments.RunAllWorkers(1); err != nil {
+		if _, err := experiments.RunWorkers(context.Background(), nil, experiments.All, 1); err != nil {
 			b.Fatal(err)
 		}
 		serial := time.Since(t0)
 		var err error
 		t1 := time.Now()
-		tables, err = experiments.RunAllWorkers(workers)
+		tables, err = experiments.RunWorkers(context.Background(), nil, experiments.All, workers)
 		if err != nil {
 			b.Fatal(err)
 		}

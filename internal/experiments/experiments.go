@@ -30,7 +30,7 @@ var Mission64 = datagen.Mission{Frame: datagen.Default4K, Satellites: 64}
 type Runner func() ([]report.Table, error)
 
 // All is the pseudo-ID that sweeps the entire registry in ID order. It is
-// dispatched by Run/RunWorkers like any single experiment, so callers (the
+// dispatched by RunWorkers like any single experiment, so callers (the
 // sudcsim CLI, the sudcsimd daemon) never special-case the full sweep.
 const All = "all"
 
@@ -74,12 +74,6 @@ func List() []Info {
 		infos = append(infos, Info{ID: id, Description: registry[id].desc})
 	}
 	return infos
-}
-
-// Run executes one experiment by ID (or the full sweep for All) on the
-// calling goroutine, honouring ctx cancellation between experiments.
-func Run(ctx context.Context, id string) ([]report.Table, error) {
-	return RunWorkers(ctx, nil, id, 1)
 }
 
 // RunWorkers is the single dispatch point under every frontend: it
@@ -159,25 +153,4 @@ func runOne(ctx context.Context, reg *obs.Registry, id string) ([]report.Table, 
 	reg.Counter("experiments.completed").Inc()
 	reg.Counter("experiments.tables").Add(len(tables))
 	return tables, nil
-}
-
-// RunAll executes every experiment serially in ID order.
-func RunAll() ([]report.Table, error) {
-	return RunWorkers(context.Background(), nil, All, 1)
-}
-
-// RunAllObs executes every experiment serially in ID order with
-// observability. It reports the lowest-ID failure.
-func RunAllObs(reg *obs.Registry) ([]report.Table, error) {
-	return RunWorkers(context.Background(), reg, All, 1)
-}
-
-// RunAllWorkers executes every experiment across a pool of workers.
-func RunAllWorkers(workers int) ([]report.Table, error) {
-	return RunWorkers(context.Background(), nil, All, workers)
-}
-
-// RunAllObsWorkers is the pooled RunAllObs; see RunWorkers.
-func RunAllObsWorkers(reg *obs.Registry, workers int) ([]report.Table, error) {
-	return RunWorkers(context.Background(), reg, All, workers)
 }

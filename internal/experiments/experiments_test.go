@@ -33,7 +33,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run(context.Background(), "fig99"); err == nil {
+	if _, err := RunWorkers(context.Background(), nil, "fig99", 1); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -41,10 +41,10 @@ func TestRunUnknown(t *testing.T) {
 func TestRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, "fig2"); err != context.Canceled {
+	if _, err := RunWorkers(ctx, nil, "fig2", 1); err != context.Canceled {
 		t.Errorf("canceled run err = %v, want context.Canceled", err)
 	}
-	if _, err := Run(ctx, All); err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+	if _, err := RunWorkers(ctx, nil, All, 1); err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Errorf("canceled sweep err = %v, want wrapped context.Canceled", err)
 	}
 }
@@ -69,7 +69,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short")
 	}
-	tables, err := RunAll()
+	tables, err := RunWorkers(context.Background(), nil, All, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

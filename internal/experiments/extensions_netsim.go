@@ -57,7 +57,7 @@ func ExtNetsim() ([]report.Table, error) {
 	}
 	// The sweep's per-scenario sub-jobs schedule into the shared pool, the
 	// same token budget the sibling experiments draw on, so running this
-	// experiment inside RunAllWorkers adds parallelism without
+	// experiment inside a pooled RunWorkers(All) sweep adds parallelism without
 	// oversubscribing CPUs — and the ID-ordered reassembly keeps the table
 	// bit-identical at any worker count.
 	for _, sr := range netsim.Sweep(scenarios, 0) {

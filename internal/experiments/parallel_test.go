@@ -49,7 +49,7 @@ func TestRunAllBitIdentity(t *testing.T) {
 		t.Skip("runs every experiment three times; skipped in -short")
 	}
 	serialReg := obs.New(obs.WithWallClock())
-	serial, err := RunAllObs(serialReg)
+	serial, err := RunWorkers(context.Background(), serialReg, All, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRunAllBitIdentity(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		reg := obs.New(obs.WithWallClock())
-		pooled, err := RunAllObsWorkers(reg, workers)
+		pooled, err := RunWorkers(context.Background(), reg, All, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -70,7 +70,7 @@ func TestRunAllBitIdentity(t *testing.T) {
 					t.Errorf("workers=%d: table %d (%s) diverges from serial", workers, i, serial[i].ID)
 				}
 			}
-			t.Fatalf("workers=%d output is not byte-identical to serial RunAll", workers)
+			t.Fatalf("workers=%d output is not byte-identical to the serial sweep", workers)
 		}
 		sc, st := poolCounters(serialReg)
 		pc, pt := poolCounters(reg)
@@ -95,13 +95,13 @@ func TestNestedGridExperimentsDeterministic(t *testing.T) {
 	gridIDs := []string{"ext-lossy", "ext-netsim", "table4"}
 	standalone := make(map[string]string, len(gridIDs))
 	for _, id := range gridIDs {
-		tables, err := Run(context.Background(), id)
+		tables, err := RunWorkers(context.Background(), nil, id, 1)
 		if err != nil {
 			t.Fatalf("%s standalone: %v", id, err)
 		}
 		standalone[id] = renderAll(t, tables)
 	}
-	all, err := RunAllWorkers(8)
+	all, err := RunWorkers(context.Background(), nil, All, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunAllWorkersError(t *testing.T) {
 	})
 	defer func() { delete(registry, failID) }()
 	for _, workers := range []int{1, 4} {
-		_, err := RunAllWorkers(workers)
+		_, err := RunWorkers(context.Background(), nil, All, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: failing experiment did not surface", workers)
 		}

@@ -11,7 +11,7 @@ import (
 // heavyFaultScenario exercises every nondeterminism-prone code path at
 // once: link outages (retransmission timers firing in bulk), satellite
 // churn (queue purges, reroutes), the eclipse sweep over optical links,
-// and epoch boundaries forcing full route recomputes and eclipse rescans.
+// and epoch boundaries forcing full route recomputes.
 func heavyFaultScenario() Scenario {
 	sc := ringScenario(8)
 	sc.Name = "test-determinism"

@@ -87,9 +87,8 @@ type faultState struct {
 	// nextEclipse is the earliest time any node can cross the shadow-arc
 	// boundary, derived in closed form from the sweep geometry on every
 	// scan. updateEclipse skips its O(nodes) phase scan entirely until
-	// then, making the sweep event-driven; zero forces a scan (initially
-	// and at every epoch boundary, which rescans rather than trust a bound
-	// computed at another time).
+	// then, making the sweep event-driven; its initial zero forces the
+	// first scan.
 	nextEclipse float64
 	// Events counts state transitions (for the run report).
 	Events int

@@ -98,9 +98,9 @@ func TestEclipseSweepDropsOpticalLinks(t *testing.T) {
 }
 
 // faultClocksAcrossEpochs seeds the fault processes over ts's graph and
-// drives them across four epoch boundaries the way Run does: the eclipse
-// rescan is forced and the routes are recomputed on the one graph built
-// for the run. Every link and satellite must hold a finite fault clock no
+// drives them across four epoch boundaries the way Run does: the fault
+// layer updates and the routes are recomputed on the one graph built for
+// the run. Every link and satellite must hold a finite fault clock no
 // earlier than the current time, at t = 0 and after each boundary; a clock
 // left at +Inf would make its link or satellite immortal for the run.
 func faultClocksAcrossEpochs(t *testing.T, ts TopologySpec) *Graph {
@@ -128,7 +128,6 @@ func faultClocksAcrossEpochs(t *testing.T, ts TopologySpec) *Graph {
 	check(0)
 	const epochSec = 30
 	for now := float64(epochSec); now <= 4*epochSec; now += epochSec {
-		fs.nextEclipse = 0
 		fs.update(now, g, true, true)
 		g.recomputeRoutes(true)
 		check(now)
@@ -147,10 +146,10 @@ func TestEpochRebuildSeedsNewFaultClocks(t *testing.T) {
 }
 
 // TestGEOStarEpochRebuildSeedsNewFaultClocks is the GEO-star twin of the
-// ring test above, on optical uplinks so the eclipse rescans at each
-// epoch boundary sweep the satellites. The sinks must keep their geo flag
-// and never be eclipsed: a GEO sink swept by the LEO shadow arc would cut
-// every uplink it terminates.
+// ring test above, on optical uplinks so the eclipse sweep runs over the
+// satellites. The sinks must keep their geo flag and never be eclipsed: a
+// GEO sink swept by the LEO shadow arc would cut every uplink it
+// terminates.
 func TestGEOStarEpochRebuildSeedsNewFaultClocks(t *testing.T) {
 	g := faultClocksAcrossEpochs(t, TopologySpec{Kind: GEOStarTopology, Sats: 9, GEOSinks: 3, Tech: isl.Optical10G})
 	for _, s := range g.Sinks {

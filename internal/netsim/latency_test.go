@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spacedc/internal/obs"
-	statsutil "spacedc/internal/stats"
 	"spacedc/internal/units"
 )
 
@@ -39,7 +38,7 @@ func faultHeavyScenario() Scenario {
 
 // TestNetsimLatencyHistogramTracksExact captures every measured delivery
 // latency through the test tap and asserts Result.LatencySec — now derived
-// from the run-local bucket accumulator — matches an exact stats.Summarize
+// from the run-local bucket accumulator — matches an exact obs.Summarize
 // of the same samples: count and max exact, mean to rounding, p95 within
 // one LatencyBuckets bucket width. The registry's merged histogram must
 // agree too, proving Merge carries the run-local distribution across
@@ -66,7 +65,7 @@ func TestNetsimLatencyHistogramTracksExact(t *testing.T) {
 		t.Errorf("LatencySec.Count = %d, want %d", r.LatencySec.Count, len(exact))
 	}
 
-	want := statsutil.Summarize(exact)
+	want := obs.Summarize(exact)
 	if math.Abs(r.LatencySec.Mean-want.Mean) > 1e-9*want.Mean {
 		t.Errorf("Mean = %v, want exact %v", r.LatencySec.Mean, want.Mean)
 	}
@@ -100,7 +99,7 @@ func TestNetsimLatencyHistogramTracksExact(t *testing.T) {
 	if snap.Max != want.Max {
 		t.Errorf("merged histogram max = %v, want exact %v", snap.Max, want.Max)
 	}
-	p50 := statsutil.Percentile(exact, 0.5)
+	p50 := obs.Percentile(exact, 0.5)
 	if math.Abs(snap.P50-p50) > latencyBucketWidth(p50) {
 		t.Errorf("merged histogram p50 = %v, exact = %v: beyond one bucket width %v",
 			snap.P50, p50, latencyBucketWidth(p50))

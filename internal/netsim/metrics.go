@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"spacedc/internal/stats"
+	"spacedc/internal/obs"
 	"spacedc/internal/units"
 )
 
@@ -32,7 +32,7 @@ type Result struct {
 
 	// LatencySec summarizes end-to-end segment delivery latency in
 	// seconds, measured from first transmission (retransmissions included).
-	LatencySec stats.Summary
+	LatencySec obs.Summary
 
 	// BottleneckUtil is the highest per-link utilization; BottleneckLink
 	// names the link carrying it (the Fig 11 ISL bottleneck).

@@ -144,9 +144,12 @@ var pinnedNetsim = map[string][2]string{
 }
 
 // TestNetsimOutputsPinned compares every pin scenario's Result, bare and
-// instrumented, with digests recorded before the segment-run engine. A
-// refactor that shifts every run the same way passes the repeat and
-// worker-count determinism tests; it cannot pass this one.
+// instrumented, with recorded digests. They were first recorded before the
+// segment-run engine, then re-recorded once, when the two epoch-rebuild
+// fields left Result, after every rendering matched the previous one with
+// those fields cut out. A refactor that shifts every run the same way
+// passes the repeat and worker-count determinism tests; it cannot pass
+// this one.
 func TestNetsimOutputsPinned(t *testing.T) {
 	scs := pinScenarios(t)
 	if len(scs) != len(pinnedNetsim) {

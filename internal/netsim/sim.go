@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"spacedc/internal/obs"
-	"spacedc/internal/stats"
 	"spacedc/internal/units"
 )
 
@@ -127,12 +126,9 @@ func Run(scenario Scenario) (Result, error) {
 		reg.SetTime(now)
 
 		// (1) Epoch boundary: the link graph is fixed for the run, so a
-		// boundary only schedules a full route recompute at (3) and forces
-		// the eclipse sweep to rescan rather than trust a crossing bound
-		// computed at an earlier time, which can round differently.
+		// boundary only schedules a full route recompute at (3).
 		epoch := false
 		if now >= nextEpoch {
-			fs.nextEclipse = 0
 			nextEpoch = nextEpochAfter(nextEpoch, now, sc.EpochSec)
 			epoch = true
 		}
@@ -260,7 +256,7 @@ func Run(scenario Scenario) (Result, error) {
 	if offeredBits > 0 {
 		res.DeliveryRatio = deliBits / offeredBits
 	}
-	res.LatencySec = stats.Summary{
+	res.LatencySec = obs.Summary{
 		Count: int(lat.Count()),
 		Mean:  lat.Mean(),
 		P95:   lat.Quantile(0.95),
@@ -379,6 +375,6 @@ func nextEpochAfter(nextEpoch, now, epochSec float64) float64 {
 
 // latencyTap, when set by a test, receives every measured segment's exact
 // delivery latency. It exists so accuracy tests can compare the
-// bucket-derived Result.LatencySec against an exact stats.Summarize of the
+// bucket-derived Result.LatencySec against an exact obs.Summarize of the
 // same samples; production code never sets it.
 var latencyTap func(latencySec float64)

@@ -93,3 +93,70 @@ func FuzzQuantile(f *testing.F) {
 		}
 	})
 }
+
+// contains reports whether v (compared by bits, so NaN matches NaN) is an
+// element of xs.
+func contains(xs []float64, v float64) bool {
+	for _, x := range xs {
+		if math.Float64bits(x) == math.Float64bits(v) || x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzSummarize drives Summarize and Percentile with arbitrary samples
+// and quantiles: no input may panic, Count always matches the sample
+// size, Percentile always returns an element of the sample, and on
+// NaN-free samples the summary's Max is the true maximum with P95 an
+// element no greater than it.
+func FuzzSummarize(f *testing.F) {
+	f.Add([]byte{}, 0.95)
+	f.Add(bits(1.5), 0.5)                           // single sample
+	f.Add(bits(2, 2, 2, 2, 2), 0.95)                // point mass
+	f.Add(bits(math.NaN(), 1, math.NaN()), 0.5)     // NaN poisons the sort
+	f.Add(bits(math.Inf(1), math.Inf(-1), 0), 0.95) // infinities
+	f.Add(bits(3, 1, 2, 5, 4), math.NaN())          // NaN quantile → median
+	f.Add(bits(math.Copysign(0, -1), 0), -1.0)      // q below range
+	f.Add(bits(5e-324, math.MaxFloat64), 2.0)       // q above range
+
+	f.Fuzz(func(t *testing.T, data []byte, q float64) {
+		xs := floatsFromBytes(data)
+		s := Summarize(xs)
+		if s.Count != len(xs) {
+			t.Fatalf("Count = %d, want %d", s.Count, len(xs))
+		}
+		if len(xs) == 0 {
+			if s != (Summary{}) {
+				t.Fatalf("empty sample summarized to %+v, want zero", s)
+			}
+			return
+		}
+		if p := Percentile(xs, q); !contains(xs, p) {
+			t.Fatalf("Percentile(%v) = %v is not an element of the sample", q, p)
+		}
+
+		hasNaN := false
+		max := math.Inf(-1)
+		for _, v := range xs {
+			if math.IsNaN(v) {
+				hasNaN = true
+			}
+			if v > max {
+				max = v
+			}
+		}
+		if hasNaN {
+			return // NaN order is unspecified; only the no-panic/count contract holds
+		}
+		if s.Max != max {
+			t.Fatalf("Max = %v, want %v", s.Max, max)
+		}
+		if !contains(xs, s.P95) {
+			t.Fatalf("P95 = %v is not an element of the sample", s.P95)
+		}
+		if s.P95 > s.Max {
+			t.Fatalf("P95 %v > Max %v", s.P95, s.Max)
+		}
+	})
+}

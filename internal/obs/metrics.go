@@ -181,7 +181,7 @@ func (h *Histogram) Max() float64 {
 }
 
 // Quantile estimates the q-quantile from the bucket counts using the same
-// nearest-rank convention as stats.PercentileSorted (index ⌊q·(n−1)⌋): it
+// nearest-rank convention as PercentileSorted (index ⌊q·(n−1)⌋): it
 // finds the bucket holding the target rank and interpolates linearly
 // within it, with the bucket edges tightened to the observed min/max. The
 // rank's true sample lies in the same bucket, so the estimate is always

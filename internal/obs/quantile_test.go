@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	statsutil "spacedc/internal/stats"
 )
 
 // bucketWidth returns the width of the layout bucket that holds v: the
@@ -53,7 +51,7 @@ func TestQuantileTracksPercentileSorted(t *testing.T) {
 				h.Observe(xs[i])
 			}
 			for _, q := range []float64{0, 0.5, 0.9, 0.95, 0.99, 1} {
-				exact := statsutil.Percentile(xs, q)
+				exact := Percentile(xs, q)
 				got := h.Quantile(q)
 				tol := bucketWidth(bounds, exact)
 				if math.IsInf(tol, 1) {

@@ -212,11 +212,11 @@ type Config struct {
 	Workers int `json:"workers"`
 	// Eval configures the candidate evaluation pipeline.
 	Eval EvalConfig `json:"-"`
-	// Obs, when non-nil, receives optimizer counters, the best-objective
-	// gauge, and per-round "optimize.best_objective" progress samples
-	// timestamped by candidates evaluated (sim-clock friendly, so serve
-	// snapshots stay deterministic). Write-only: results are identical
-	// with or without it.
+	// Obs, when non-nil, receives per-round "optimize.best_objective"
+	// progress samples timestamped by candidates evaluated (sim-clock
+	// friendly, so serve snapshots stay deterministic), and, once a search
+	// succeeds, the Outcome's counters and best-objective gauge.
+	// Write-only: results are identical with or without it.
 	Obs *obs.Registry `json:"-"`
 }
 
@@ -359,25 +359,18 @@ type proposal struct {
 	rng     *rand.Rand
 }
 
-// counters bundles the optimizer's obs instrumentation.
-type counters struct {
-	proposals, evaluated, cacheHits *obs.Counter
-	infeasible, accepted, rejected  *obs.Counter
-	restarts                        *obs.Counter
-	best                            *obs.Gauge
-}
-
-func newCounters(reg *obs.Registry) counters {
-	return counters{
-		proposals:  reg.Counter("optimize.proposals"),
-		evaluated:  reg.Counter("optimize.evaluated"),
-		cacheHits:  reg.Counter("optimize.cache_hits"),
-		infeasible: reg.Counter("optimize.infeasible"),
-		accepted:   reg.Counter("optimize.accepted"),
-		rejected:   reg.Counter("optimize.rejected"),
-		restarts:   reg.Counter("optimize.restarts"),
-		best:       reg.Gauge("optimize.best_objective"),
-	}
+// record flushes the outcome's tallies into reg once, at the end of a
+// successful search: the seven optimize.* counters and the final
+// best-objective gauge. A nil registry is a no-op.
+func (o *Outcome) record(reg *obs.Registry) {
+	reg.Counter("optimize.proposals").Add(o.Proposals)
+	reg.Counter("optimize.evaluated").Add(o.Evaluated)
+	reg.Counter("optimize.cache_hits").Add(o.CacheHits)
+	reg.Counter("optimize.infeasible").Add(o.Infeasible)
+	reg.Counter("optimize.accepted").Add(o.Accepted)
+	reg.Counter("optimize.rejected").Add(o.Rejected)
+	reg.Counter("optimize.restarts").Add(o.Restarts)
+	reg.Gauge("optimize.best_objective").Set(o.Best.Score.Objective)
 }
 
 // Search runs the heuristic: Restarts hill-climbing chains propose one
@@ -396,8 +389,6 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctr := newCounters(cfg.Obs)
-
 	chains := make([]chain, cfg.Restarts)
 	cache := make(map[string]Score)
 	out := &Outcome{}
@@ -503,7 +494,6 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 		for _, j := range jobs {
 			cache[j.key] = j.score
 			out.Evaluated++
-			ctr.evaluated.Inc()
 		}
 
 		// Acceptance plays back serially in proposal order.
@@ -518,39 +508,31 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 			if owner, ok := evalOwner[k]; !ok || owner != p.index {
 				cand.Cached = true
 				out.CacheHits++
-				ctr.cacheHits.Inc()
 			}
 			out.Proposals++
-			ctr.proposals.Inc()
 
 			ch := &chains[p.chain]
 			switch {
 			case !score.Feasible:
 				out.Infeasible++
-				ctr.infeasible.Inc()
 				out.Rejected++
-				ctr.rejected.Inc()
 				if ch.started {
 					ch.stale++
 				}
 			case p.restart || !ch.started:
 				if p.restart && ch.started {
 					out.Restarts++
-					ctr.restarts.Inc()
 				}
 				ch.vec, ch.score, ch.started, ch.stale = p.vec, score, true, 0
 				cand.Accepted = true
 				out.Accepted++
-				ctr.accepted.Inc()
 			case accept(score.Objective, ch.score.Objective, cfg, out.Proposals, p.rng):
 				ch.vec, ch.score, ch.stale = p.vec, score, 0
 				cand.Accepted = true
 				out.Accepted++
-				ctr.accepted.Inc()
 			default:
 				ch.stale++
 				out.Rejected++
-				ctr.rejected.Inc()
 			}
 			if score.Feasible && (out.Best.Index < 0 || score.Objective > out.Best.Score.Objective) {
 				out.Best = cand
@@ -562,7 +544,6 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 		// Stream round progress on the registry's sim clock (candidate
 		// count as the time axis keeps snapshots deterministic).
 		if cfg.Obs != nil && out.Best.Index >= 0 {
-			ctr.best.Set(out.Best.Score.Objective)
 			cfg.Obs.SetTime(float64(out.Proposals))
 			cfg.Obs.Emit("optimize.best_objective", "sample", out.Best.Score.Objective)
 		}
@@ -572,6 +553,7 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 		return nil, fmt.Errorf("optimize: no feasible candidate in %d proposals", out.Proposals)
 	}
 	out.Pareto = paretoFront(out.Trace)
+	out.record(cfg.Obs)
 	return out, nil
 }
 
@@ -643,7 +625,6 @@ func RandomSearch(ctx context.Context, cfg Config, space Space) (*Outcome, error
 	if err != nil {
 		return nil, err
 	}
-	ctr := newCounters(cfg.Obs)
 	out := &Outcome{}
 	out.Best.Index = -1
 	cache := make(map[string]Score)
@@ -694,33 +675,27 @@ func RandomSearch(ctx context.Context, cfg Config, space Space) (*Outcome, error
 		cache[k] = score
 		cand := Candidate{Index: i, Design: d.design, Score: score, Restart: true, Cached: hit}
 		out.Proposals++
-		ctr.proposals.Inc()
 		if hit {
 			out.CacheHits++
-			ctr.cacheHits.Inc()
 		} else {
 			out.Evaluated++
-			ctr.evaluated.Inc()
 		}
 		if !score.Feasible {
 			out.Infeasible++
-			ctr.infeasible.Inc()
 		} else if out.Best.Index < 0 || score.Objective > out.Best.Score.Objective {
 			cand.Accepted = true
 			out.Best = cand
 			out.Accepted++
-			ctr.accepted.Inc()
 		} else {
 			out.Rejected++
-			ctr.rejected.Inc()
 		}
 		out.Trace = append(out.Trace, cand)
 	}
 	if out.Best.Index < 0 {
 		return nil, fmt.Errorf("optimize: no feasible candidate in %d random draws", out.Proposals)
 	}
-	ctr.best.Set(out.Best.Score.Objective)
 	out.Pareto = paretoFront(out.Trace)
+	out.record(cfg.Obs)
 	return out, nil
 }
 

@@ -1,5 +1,5 @@
 // Package pool is the shared deterministic worker pool underneath every
-// fan-out in the repo: the experiment sweep (experiments.RunAllObsWorkers),
+// fan-out in the repo: the experiment sweep (experiments.RunWorkers),
 // the netsim scenario sweep (netsim.SweepObs), and the experiment drivers
 // that decompose their internal grids into sub-jobs (ext-netsim, ext-lossy,
 // table4). One global token budget bounds concurrency across all of them,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"spacedc/internal/obs"
-	statsutil "spacedc/internal/stats"
 )
 
 // latencyBucketWidth returns the width of the obs.LatencyBuckets bucket
@@ -58,7 +57,7 @@ func TestP95FromBucketsTracksExact(t *testing.T) {
 		t.Fatalf("mission too short to exercise the accumulator: %d frames", st.Processed)
 	}
 
-	wantP95 := statsutil.Percentile(exact, 0.95)
+	wantP95 := obs.Percentile(exact, 0.95)
 	tol := latencyBucketWidth(wantP95)
 	if got := st.P95LatencySec; math.Abs(got-wantP95) > tol {
 		t.Errorf("P95LatencySec = %v, exact sorted-sample p95 = %v: off by %v, tolerance one bucket width %v",

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -68,6 +69,16 @@ type Server struct {
 	evalHook func(ctx context.Context, spec *EvalSpec) ([]report.Table, error)
 }
 
+// runCounters are the scenario-run counters the daemon sums across
+// evaluations: after each run, every one of them in the run's snapshot is
+// added to the daemon counter "serve.<name>".
+var runCounters = []string{
+	"netsim.route_recomputes", "netsim.route_repairs",
+	"optimize.proposals", "optimize.evaluated", "optimize.cache_hits",
+	"optimize.infeasible", "optimize.accepted", "optimize.rejected",
+	"optimize.restarts",
+}
+
 // defaults for Config zero values.
 const (
 	defaultMaxInFlight = 4
@@ -98,20 +109,18 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		draining: make(chan struct{}),
 	}
-	// Pre-register the load-shedding and error counters so a fresh daemon's
-	// /v1/metrics shows the whole overload surface at zero instead of
-	// growing names as failures first occur.
+	// Pre-register the load-shedding and error counters, and the sums of
+	// the run counters, so a fresh daemon's /v1/metrics shows them at zero
+	// instead of growing names as failures and runs first occur.
 	for _, name := range []string{
 		"serve.eval.completed", "serve.eval.errors", "serve.eval.cache_hits",
 		"serve.eval.rejected", "serve.eval.deadline_exceeded",
 		"serve.eval.bad_requests", "serve.stream.run_dropped_events",
-		"serve.netsim.route_recomputes", "serve.netsim.route_repairs",
-		"serve.optimize.proposals", "serve.optimize.evaluated",
-		"serve.optimize.cache_hits", "serve.optimize.infeasible",
-		"serve.optimize.accepted", "serve.optimize.rejected",
-		"serve.optimize.restarts",
 	} {
 		s.reg.Counter(name)
+	}
+	for _, name := range runCounters {
+		s.reg.Counter("serve." + name)
 	}
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("POST /v1/eval", s.handleEval)
@@ -334,8 +343,7 @@ func (s *Server) evaluate(ctx context.Context, key string, spec *EvalSpec, strea
 		return resp, nil
 	}
 
-	switch {
-	case spec.Experiment != "":
+	if spec.Experiment != "" {
 		// Experiment spans run on a per-run wall-clock registry: streamed
 		// live when asked for, never serialized into the response (wall
 		// times are not deterministic).
@@ -351,111 +359,83 @@ func (s *Server) evaluate(ctx context.Context, key string, spec *EvalSpec, strea
 		}
 		resp.Tables = tables
 		resp.Text = renderTables(tables)
+		return resp, nil
+	}
 
-	case spec.Netsim != nil:
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	reg := obs.New() // sim clock: snapshot is deterministic
+	detach := attach(reg)
+	tables, err := s.runScenario(ctx, spec, reg, resp)
+	detach()
+	if err != nil {
+		return nil, err
+	}
+	snap := reg.Snapshot()
+	resp.Tables = tables
+	resp.Text = renderTables(tables)
+	resp.Metrics = &snap
+	for _, c := range snap.Counters {
+		if slices.Contains(runCounters, c.Name) {
+			s.reg.Counter("serve." + c.Name).Add(int(c.Value))
 		}
+	}
+	return resp, nil
+}
+
+// runScenario builds spec's scenario with reg as its registry, runs it,
+// stores the raw result in resp and returns the result's tables.
+func (s *Server) runScenario(ctx context.Context, spec *EvalSpec, reg *obs.Registry, resp *evalResponse) ([]report.Table, error) {
+	switch {
+	case spec.Netsim != nil:
 		sc := spec.Netsim.scenario()
-		reg := obs.New() // sim clock: snapshot is deterministic
 		sc.Obs = reg
-		detach := attach(reg)
 		res, err := netsim.Run(sc)
-		detach()
 		if err != nil {
 			return nil, err
 		}
-		tables := []report.Table{netsimTable(sc, res)}
-		snap := reg.Snapshot()
-		resp.Tables = tables
-		resp.Text = renderTables(tables)
 		resp.Netsim = &res
-		resp.Metrics = &snap
-		// Mirror the run's routing-dynamics counters into the daemon
-		// registry, aggregating the routing load served across all netsim
-		// evaluations.
-		s.reg.Counter("serve.netsim.route_recomputes").Add(res.RouteRecomputes)
-		s.reg.Counter("serve.netsim.route_repairs").Add(res.RouteRepairs)
+		return []report.Table{netsimTable(sc, res)}, nil
 
 	case spec.Sched != nil:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		cfg, proc, err := spec.Sched.config()
 		if err != nil {
 			return nil, err
 		}
-		reg := obs.New() // sim clock: snapshot is deterministic
 		cfg.Obs = reg
-		detach := attach(reg)
 		st, err := sched.Simulate(cfg, proc)
-		detach()
 		if err != nil {
 			return nil, err
 		}
-		tables := []report.Table{schedTable(spec.Sched, cfg, st)}
-		snap := reg.Snapshot()
-		resp.Tables = tables
-		resp.Text = renderTables(tables)
 		resp.Sched = &st
-		resp.Metrics = &snap
+		return []report.Table{schedTable(spec.Sched, cfg, st)}, nil
 
 	case spec.Workload != nil:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		sc, err := spec.Workload.scenario()
 		if err != nil {
 			return nil, err
 		}
-		reg := obs.New() // sim clock: snapshot is deterministic
 		sc.Obs = reg
-		detach := attach(reg)
 		res, err := qos.Run(sc)
-		detach()
 		if err != nil {
 			return nil, err
 		}
-		tables := []report.Table{workloadTable(spec.Workload, res)}
-		snap := reg.Snapshot()
-		resp.Tables = tables
-		resp.Text = renderTables(tables)
 		resp.Workload = &res
-		resp.Metrics = &snap
+		return []report.Table{workloadTable(spec.Workload, res)}, nil
 
-	case spec.Optimize != nil:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	default: // spec.Optimize: Validate admits exactly one kind
 		cfg, space := spec.Optimize.config(s.cfg.Workers)
-		// Sim clock: the optimizer stamps progress samples by proposal
-		// count, so the snapshot is deterministic and SSE subscribers watch
-		// the search converge live.
-		reg := obs.New()
+		// The optimizer stamps progress samples by proposal count, so SSE
+		// subscribers watch the search converge live on the sim clock.
 		cfg.Obs = reg
-		detach := attach(reg)
 		out, err := optimize.Search(ctx, cfg, space)
-		detach()
 		if err != nil {
 			return nil, err
 		}
-		tables := optimize.Tables(out)
-		snap := reg.Snapshot()
-		resp.Tables = tables
-		resp.Text = renderTables(tables)
 		resp.Optimize = out
-		resp.Metrics = &snap
-		// Mirror the search counters into the daemon registry, aggregating
-		// the optimizer load served across all evaluations.
-		s.reg.Counter("serve.optimize.proposals").Add(out.Proposals)
-		s.reg.Counter("serve.optimize.evaluated").Add(out.Evaluated)
-		s.reg.Counter("serve.optimize.cache_hits").Add(out.CacheHits)
-		s.reg.Counter("serve.optimize.infeasible").Add(out.Infeasible)
-		s.reg.Counter("serve.optimize.accepted").Add(out.Accepted)
-		s.reg.Counter("serve.optimize.rejected").Add(out.Rejected)
-		s.reg.Counter("serve.optimize.restarts").Add(out.Restarts)
+		return optimize.Tables(out), nil
 	}
-	return resp, nil
 }
 
 // netsimTable renders a parameterized netsim run in the ext-netsim row

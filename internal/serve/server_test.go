@@ -49,7 +49,7 @@ func decodeEval(t *testing.T, body []byte) evalResponse {
 // text an eval returns for an experiment is byte-identical to what the
 // sudcsim batch CLI prints for the same ID, at any worker count.
 func TestEvalExperimentMatchesBatch(t *testing.T) {
-	tables, err := experiments.Run(context.Background(), "table5")
+	tables, err := experiments.RunWorkers(context.Background(), nil, "table5", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,62 +626,86 @@ func TestAdmissionQueueCancellation(t *testing.T) {
 	}
 }
 
-// TestNetsimRoutingCountersSurface asserts the routing-dynamics counters
-// ride both metrics surfaces: pre-registered at zero on a fresh daemon's
-// /v1/metrics, aggregated there after a faulty netsim eval (with the
-// incremental repair path actually exercised), and present per run in the
-// response's sim-clock snapshot.
+// TestNetsimRoutingCountersSurface asserts the daemon's run-counter
+// aggregation: a fresh daemon's /v1/metrics shows all nine
+// serve.netsim.* and serve.optimize.* counters at zero; after a faulty
+// netsim eval (with the incremental repair path exercised), an optimize,
+// a sched and a workload eval, each equals the sum of its run counter
+// over the responses' sim-clock snapshots; and a cache hit adds nothing.
 func TestNetsimRoutingCountersSurface(t *testing.T) {
 	s := New(Config{})
-
-	routingCounters := []string{"serve.netsim.route_recomputes", "serve.netsim.route_repairs"}
-	fresh := get(t, s, "/v1/metrics")
-	if fresh.Code != http.StatusOK {
-		t.Fatalf("metrics: status %d", fresh.Code)
+	runCounters := []string{
+		"netsim.route_recomputes", "netsim.route_repairs",
+		"optimize.proposals", "optimize.evaluated", "optimize.cache_hits",
+		"optimize.infeasible", "optimize.accepted", "optimize.rejected",
+		"optimize.restarts",
 	}
-	for _, name := range routingCounters {
-		if !strings.Contains(fresh.Body.String(), name) {
-			t.Errorf("fresh daemon metrics missing pre-registered %s", name)
+	daemonCounters := func() map[string]int64 {
+		t.Helper()
+		w := get(t, s, "/v1/metrics?format=json")
+		if w.Code != http.StatusOK {
+			t.Fatalf("json metrics: status %d", w.Code)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		return counterValues(snap)
+	}
+
+	fresh := daemonCounters()
+	for _, name := range runCounters {
+		if v, ok := fresh["serve."+name]; !ok || v != 0 {
+			t.Errorf("fresh daemon serve.%s = %d (registered %v), want pre-registered 0", name, v, ok)
 		}
 	}
 
-	w := post(t, s, "/v1/eval", `{"netsim":{"sats":8,"per_sat_mbps":100,"duration_sec":60,"link_outage":0.1,"link_mttr_sec":10,"seed":3}}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("eval: status %d: %s", w.Code, w.Body.String())
+	const faultyNetsim = `{"netsim":{"sats":8,"per_sat_mbps":100,"duration_sec":60,"link_outage":0.1,"link_mttr_sec":10,"seed":3}}`
+	want := map[string]int64{}
+	for _, spec := range []string{
+		faultyNetsim,
+		optimizeSpecSmall,
+		`{"sched":{"satellites":2,"duration_sec":60,"app":"FD","device":"rtx3090"}}`,
+		`{"workload":{"policy":"priority","load":0.5,"duration_sec":60,"seed":1}}`,
+	} {
+		w := post(t, s, "/v1/eval", spec)
+		if w.Code != http.StatusOK {
+			t.Fatalf("eval %s: status %d: %s", spec, w.Code, w.Body.String())
+		}
+		resp := decodeEval(t, w.Body.Bytes())
+		if resp.Metrics == nil {
+			t.Fatalf("eval %s: response missing metrics snapshot", spec)
+		}
+		if resp.Netsim != nil && resp.Netsim.RouteRepairs == 0 {
+			t.Fatal("faulty run exercised no incremental route repairs")
+		}
+		run := counterValues(*resp.Metrics)
+		for _, name := range runCounters {
+			want["serve."+name] += run[name]
+		}
 	}
-	resp := decodeEval(t, w.Body.Bytes())
-	if resp.Netsim == nil || resp.Metrics == nil {
-		t.Fatal("netsim eval response missing result or metrics snapshot")
+	if want["serve.netsim.route_repairs"] == 0 || want["serve.optimize.proposals"] == 0 {
+		t.Fatalf("run snapshots carry no routing or optimizer counts: %v", want)
 	}
-	if resp.Netsim.RouteRepairs == 0 {
-		t.Fatal("faulty run exercised no incremental route repairs")
-	}
-	snap := map[string]int64{}
-	for _, c := range resp.Metrics.Counters {
-		snap[c.Name] = c.Value
-	}
-	if got := snap["netsim.route_repairs"]; got != int64(resp.Netsim.RouteRepairs) {
-		t.Errorf("snapshot netsim.route_repairs = %d, want %d", got, resp.Netsim.RouteRepairs)
+	if w := post(t, s, "/v1/eval", faultyNetsim); w.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("repeated netsim spec X-Cache = %q, want hit", w.Header().Get("X-Cache"))
 	}
 
-	jsonW := get(t, s, "/v1/metrics?format=json")
-	if jsonW.Code != http.StatusOK {
-		t.Fatalf("json metrics: status %d", jsonW.Code)
+	agg := daemonCounters()
+	for name, v := range want {
+		if got, ok := agg[name]; !ok || got != v {
+			t.Errorf("daemon %s = %d (registered %v), want %d summed over the run snapshots", name, got, ok, v)
+		}
 	}
-	var daemon obs.Snapshot
-	if err := json.Unmarshal(jsonW.Body.Bytes(), &daemon); err != nil {
-		t.Fatal(err)
+}
+
+// counterValues maps a snapshot's counter names to their values.
+func counterValues(snap obs.Snapshot) map[string]int64 {
+	m := make(map[string]int64, len(snap.Counters))
+	for _, c := range snap.Counters {
+		m[c.Name] = c.Value
 	}
-	agg := map[string]int64{}
-	for _, c := range daemon.Counters {
-		agg[c.Name] = c.Value
-	}
-	if got := agg["serve.netsim.route_repairs"]; got != int64(resp.Netsim.RouteRepairs) {
-		t.Errorf("daemon serve.netsim.route_repairs = %d, want %d", got, resp.Netsim.RouteRepairs)
-	}
-	if got := agg["serve.netsim.route_recomputes"]; got != int64(resp.Netsim.RouteRecomputes) {
-		t.Errorf("daemon serve.netsim.route_recomputes = %d, want %d", got, resp.Netsim.RouteRecomputes)
-	}
+	return m
 }
 
 // TestEvalMultiShellScenario asserts the multi-shell netsim spec end to
