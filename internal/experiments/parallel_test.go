@@ -36,17 +36,17 @@ func poolCounters(reg *obs.Registry) (completed, tables int64) {
 }
 
 // TestRunAllBitIdentity asserts the worker pool is invisible in the
-// output: the serial sweep, a one-worker pool, and an eight-worker pool
-// must produce byte-identical rendered tables, and the sweep-level obs
-// counters must agree across all three modes. The grid experiments
+// output: the serial (one-worker) sweep and an eight-worker pool must
+// produce byte-identical rendered tables, and the sweep-level obs
+// counters must agree across both modes. The grid experiments
 // (ext-netsim, ext-lossy, table4) decompose into sub-jobs on the shared
-// pool, so every mode here also exercises nested submission — experiment
+// pool, so both modes also exercise nested submission — experiment
 // workers and their sub-jobs interleaving on one token budget. Run with
 // -count=2 in CI to catch map-order nondeterminism hiding behind a lucky
 // schedule.
 func TestRunAllBitIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment three times; skipped in -short")
+		t.Skip("runs every experiment twice; skipped in -short")
 	}
 	serialReg := obs.New(obs.WithWallClock())
 	serial, err := RunWorkers(context.Background(), serialReg, All, 1)
@@ -55,7 +55,7 @@ func TestRunAllBitIdentity(t *testing.T) {
 	}
 	serialText := renderAll(t, serial)
 
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{8} {
 		reg := obs.New(obs.WithWallClock())
 		pooled, err := RunWorkers(context.Background(), reg, All, workers)
 		if err != nil {

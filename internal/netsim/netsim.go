@@ -21,6 +21,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"spacedc/internal/obs"
 	"spacedc/internal/units"
@@ -127,25 +128,55 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// Validate checks the scenario after defaulting.
+// MaxOfferedSegments caps the segments a run offers, TotalSats × PerSat ×
+// DurationSec / SegmentBits, as MaxDesignNodes caps its nodes: it is over
+// 1,000× the largest scenario any experiment runs, and it bounds each
+// source's live-segment bitmap before a run allocates one.
+const MaxOfferedSegments = 1 << 30
+
+// exactBits bounds the bit quantities a step works on: a source's credit,
+// a link's step budget and its queue limit. Below it, sums and differences
+// of whole-bit segment sizes are exact in float64, which is what lets the
+// engine take a run of segments in one closed form.
+const exactBits = 1 << 53
+
+// Validate checks the scenario after defaulting. Besides the signs and
+// ranges it bounds the load: the segment size is a whole number of bits,
+// the offered segments stay under MaxOfferedSegments, and the per-step bit
+// quantities stay under 2^53. An over-cap load is a *DesignError, so a
+// design search scores it infeasible instead of failing.
 func (sc Scenario) Validate() error {
 	if err := sc.Topology.Validate(); err != nil {
 		return err
 	}
-	if sc.PerSat <= 0 {
-		return fmt.Errorf("netsim: non-positive per-satellite rate %v", sc.PerSat)
+	perSat := float64(sc.PerSat)
+	if !(perSat > 0) || math.IsInf(perSat, 1) {
+		return fmt.Errorf("netsim: per-satellite rate %v is not positive and finite", sc.PerSat)
 	}
-	if sc.SegmentBits <= 0 {
-		return fmt.Errorf("netsim: non-positive segment size %v", sc.SegmentBits)
+	if !(sc.SegmentBits >= 1 && sc.SegmentBits < exactBits) || sc.SegmentBits != math.Trunc(sc.SegmentBits) {
+		return fmt.Errorf("netsim: segment size %v is not a whole number of bits in [1, 2^53)", sc.SegmentBits)
 	}
-	if sc.StepSec <= 0 || sc.DurationSec <= 0 || sc.EpochSec <= 0 {
-		return fmt.Errorf("netsim: non-positive step/duration/epoch")
+	for _, v := range []float64{sc.StepSec, sc.DurationSec, sc.EpochSec} {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("netsim: step/duration/epoch %v/%v/%v not positive and finite", sc.StepSec, sc.DurationSec, sc.EpochSec)
+		}
 	}
-	if sc.WarmupSec < 0 || sc.WarmupSec >= sc.DurationSec {
+	if !(sc.WarmupSec >= 0 && sc.WarmupSec < sc.DurationSec) {
 		return fmt.Errorf("netsim: warmup %v outside (0, duration %v)", sc.WarmupSec, sc.DurationSec)
 	}
 	if sc.Transport.RTOSec <= 0 || sc.Transport.Backoff < 1 || sc.Transport.MaxAttempts < 1 {
 		return fmt.Errorf("netsim: invalid transport %+v", sc.Transport)
+	}
+	if segs := float64(sc.Topology.TotalSats()) * perSat * sc.DurationSec / sc.SegmentBits; segs > MaxOfferedSegments {
+		return designErrf("load", "%d satellites at %v for %v s offer %.3g segments of %v bits, over the %d-segment ceiling",
+			sc.Topology.TotalSats(), sc.PerSat, sc.DurationSec, segs, sc.SegmentBits, MaxOfferedSegments)
+	}
+	if credit := perSat*sc.StepSec + sc.SegmentBits; !(credit < exactBits) {
+		return designErrf("load", "a step's credit of %.3g bits reaches 2^53", credit)
+	}
+	capBps := float64(sc.Topology.Tech.Capacity)
+	if budget, queue := capBps*sc.StepSec, sc.Topology.QueueSec*capBps; !(budget < exactBits && queue < exactBits) {
+		return fmt.Errorf("netsim: a link's step budget %.3g or queue %.3g bits is not below 2^53", budget, queue)
 	}
 	return sc.Faults.Validate()
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -203,12 +204,72 @@ func TestScenarioValidation(t *testing.T) {
 			sc.Topology = twoShellSpec(InterShellAligned)
 			sc.Topology.LowAltKm = 550
 		}),
+		// Segment sizes must be whole numbers of bits in [1, 2^53).
+		ringWith(func(sc *Scenario) { sc.SegmentBits = 1e6 + 0.5 }),
+		ringWith(func(sc *Scenario) { sc.SegmentBits = 0.5 }),
+		ringWith(func(sc *Scenario) { sc.SegmentBits = 1 << 53 }),
+		ringWith(func(sc *Scenario) { sc.SegmentBits = math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.SegmentBits = math.Inf(1) }),
+		// Rates and times must be finite.
+		ringWith(func(sc *Scenario) { sc.PerSat = units.DataRate(math.Inf(1)) }),
+		ringWith(func(sc *Scenario) { sc.PerSat = units.DataRate(math.NaN()) }),
+		ringWith(func(sc *Scenario) { sc.StepSec = math.Inf(1) }),
+		ringWith(func(sc *Scenario) { sc.EpochSec = math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.DurationSec = math.Inf(1) }),
+		ringWith(func(sc *Scenario) { sc.WarmupSec = math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.WarmupSec = math.Inf(1) }),
+		// Link budgets and queues must stay below 2^53 bits.
+		ringWith(func(sc *Scenario) { sc.Topology.Tech.Capacity = 1e17 }),
+		ringWith(func(sc *Scenario) { sc.Topology.Tech.Capacity = units.DataRate(math.NaN()) }),
+		ringWith(func(sc *Scenario) { sc.Topology.QueueSec = math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.Topology.QueueSec = 1e8 }),
 	}
 	for i, sc := range bad {
 		if _, err := Run(sc); err == nil {
 			t.Errorf("bad scenario %d accepted", i)
 		}
 	}
+	// Over-cap loads are the design's fault: a *DesignError, which a
+	// design search scores infeasible.
+	for name, sc := range map[string]Scenario{
+		"1e12 Mbit/s per satellite": ringWith(func(sc *Scenario) { sc.PerSat = 1e12 * units.Mbps }),
+		"rate overflowing to +Inf":  ringWith(func(sc *Scenario) { sc.PerSat = 1e302 * units.Mbps }),
+		"one-bit segments": ringWith(func(sc *Scenario) {
+			sc.SegmentBits = 1 // 4 × 1e8 bit/s × 60 s = 2.4e10 segments
+		}),
+		"credit reaching 2^53": ringWith(func(sc *Scenario) {
+			sc.SegmentBits, sc.PerSat = 1<<52, 1<<53/0.1
+		}),
+		"one past the segment cap": atSegmentCap(1),
+	} {
+		var de *DesignError
+		if _, err := Run(sc); !errors.As(err, &de) || de.Field != "load" {
+			t.Errorf("%s: error %v, want a load *DesignError", name, err)
+		}
+	}
+	// A 2^52-bit segment and the cap itself are accepted.
+	for name, sc := range map[string]Scenario{
+		"2^52-bit segments":       ringWith(func(sc *Scenario) { sc.SegmentBits = 1 << 52 }),
+		"exactly the segment cap": atSegmentCap(0),
+	} {
+		if err := sc.withDefaults().Validate(); err != nil {
+			t.Errorf("%s rejected: %v", name, err)
+		}
+	}
+}
+
+// atSegmentCap returns a four-satellite ring offering exactly
+// MaxOfferedSegments megabit segments over 0.25 s, with its rate raised by
+// ulps ulps.
+func atSegmentCap(ulps int) Scenario {
+	return ringWith(func(sc *Scenario) {
+		rate := float64(MaxOfferedSegments) * 1e6 // 4 sats × 0.25 s = 1
+		for range ulps {
+			rate = math.Nextafter(rate, math.Inf(1))
+		}
+		sc.PerSat, sc.SegmentBits = units.DataRate(rate), 1e6
+		sc.DurationSec, sc.WarmupSec = 0.25, 0.1
+	})
 }
 
 // ringWith returns ringScenario(4) with edit applied.

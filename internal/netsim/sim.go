@@ -103,9 +103,9 @@ func Run(scenario Scenario) (Result, error) {
 			return
 		}
 		res.DeliveredSegs += delivered
-		for k := 0; k < delivered; k++ {
-			deliBits += a.run.bits
-		}
+		// A run-long sum that can pass 2^53, where a multiply would not
+		// match the per-segment additions.
+		deliBits = obs.AddN(deliBits, a.run.bits, delivered)
 		l := now - a.run.born
 		lat.ObserveN(l, delivered)
 		if latencyTap != nil {
@@ -284,15 +284,19 @@ func Run(scenario Scenario) (Result, error) {
 }
 
 // enqueue appends to link li the longest prefix of run that fits under the
-// queue limit, testing and adding one segment at a time as single-segment
-// enqueues would, and drops the rest (counted inside the measurement
-// window). The link joins the busy set only if it admitted something.
+// queue limit and drops the rest (counted inside the measurement window).
+// The link joins the busy set only if it admitted something. qBits is a
+// whole number of bits no larger than the limit, which is below 2^53
+// (Scenario.Validate), so the prefix that admitting one segment at a time
+// would take is ⌊(limit − qBits)/bits⌋ segments, and every sum on the way
+// is exact.
 func (g *Graph) enqueue(li int, run segRun, measure bool) {
 	l := g.Links[li]
 	admitted := 0
-	for admitted < run.n && !(l.qBits+run.bits > l.QueueLimitBits) {
-		l.qBits += run.bits
-		admitted++
+	// The conversion floors: limit − qBits is exact and below 2^53.
+	if room := int64(l.QueueLimitBits-l.qBits) / int64(run.bits); room > 0 {
+		admitted = int(min(room, int64(run.n)))
+		l.qBits += float64(admitted) * run.bits
 	}
 	if measure {
 		l.drops += run.n - admitted
@@ -308,10 +312,18 @@ func (g *Graph) enqueue(li int, run segRun, measure bool) {
 // run of segments it completes to deliver with their propagation due time.
 // A run the budget ends inside stays at the head with its completed
 // segments removed, and partial service of its first segment persists in
-// headDone across steps. The budget, served and sent-bit sums step one
-// segment at a time, exactly as single-segment service would. It returns
-// the bits actually served this step (independent of the measurement
-// window).
+// headDone across steps. It returns the bits actually served this step
+// (independent of the measurement window).
+//
+// Only a run's first segment can be partly served, so it takes the float
+// steps single-segment service took; each whole segment after it costs
+// exactly bits, and the budget pays for ⌊budget/bits⌋ of them at once.
+// That gives the same bits as serving them one by one. The step budget B
+// is below 2^53 (Scenario.Validate); budget, headDone, need and served
+// stay multiples of ulp(B), with served + budget = B, and a whole-bit size
+// is such a multiple too, so none of the sums and differences rounds. qBits
+// drops by whole segments; the measured sentBits, a run-long sum that can
+// pass 2^53, takes obs.AddN.
 //
 // Finished runs are popped by compacting the queue in place after the
 // drain loop, so the backing array is reused and steady-state service
@@ -322,36 +334,29 @@ func (l *Link) serve(now, dt float64, measure bool, deliver func(run segRun, to 
 	popped := 0
 	for budget > 0 && popped < len(l.q) {
 		head := &l.q[popped]
-		done := 0
-		for done < head.n && budget > 0 {
-			need := head.bits - l.headDone
-			if need > budget {
-				l.headDone += budget
-				served += budget
-				budget = 0
-				break
-			}
-			budget -= need
-			served += need
-			done++
-			l.qBits -= head.bits
-			if l.qBits < 0 {
-				l.qBits = 0
-			}
-			l.headDone = 0
-			if measure {
-				l.sentBits += head.bits
-			}
-		}
-		if done > 0 {
-			deliver(segRun{head.segment, done}, l.To, now+l.DelaySec)
-			head.seq += int64(done)
-			head.n -= done
-		}
-		if head.n > 0 {
+		need := head.bits - l.headDone
+		if need > budget {
+			l.headDone += budget
+			served += budget
 			break
 		}
-		popped++
+		budget -= need
+		served += need
+		l.headDone = 0
+		// The conversion floors: budget is below 2^53.
+		done := 1 + min(head.n-1, int(int64(budget)/int64(head.bits)))
+		whole := float64(done-1) * head.bits
+		budget -= whole
+		served += whole
+		l.qBits = max(l.qBits-float64(done)*head.bits, 0)
+		if measure {
+			l.sentBits = obs.AddN(l.sentBits, head.bits, done)
+		}
+		deliver(segRun{head.segment, done}, l.To, now+l.DelaySec)
+		head.seq += int64(done)
+		if head.n -= done; head.n == 0 {
+			popped++
+		}
 	}
 	if popped > 0 {
 		l.q = l.q[:copy(l.q, l.q[popped:])]

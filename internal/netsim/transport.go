@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -20,10 +21,10 @@ type segment struct {
 // starting at seq, all of the same size and birth time. A source emits
 // each step's segments as one run and FIFO service keeps them contiguous
 // at every later hop, so queues and the in-flight list hold runs instead
-// of single segments. Every per-segment float operation (queue admission,
-// service, delivered bits, the latency sum) is still replayed once per
-// segment in the original order, so results do not depend on how
-// segments are grouped into runs.
+// of single segments. Each per-segment float sum (queue admission,
+// service, delivered bits, the latency sum) is taken for the whole run in
+// a closed form that gives the bits the per-segment sums gave, so results
+// do not depend on how segments are grouped into runs.
 type segRun struct {
 	segment
 	n int
@@ -220,23 +221,23 @@ func (s *source) trim() {
 
 // generate accrues dt's worth of data, emits the segments it completes as
 // one run, and returns how many. A failed satellite generates nothing (its
-// sensor is down with it).
+// sensor is down with it). The credit stays below 2^53 and the segment
+// size is a whole number of bits (Scenario.Validate), so taking the n
+// whole segments off at once is exact, as taking them one by one was.
 func (s *source) generate(now, dt float64, alive bool, emit func(segRun)) int {
 	if !alive {
 		return 0
 	}
 	s.credit += s.rateBps * dt
-	n := 0
-	for s.credit >= s.segmentBits {
-		s.credit -= s.segmentBits
-		n++
+	if s.credit < s.segmentBits {
+		return 0
 	}
-	if n > 0 {
-		first := s.seq + 1
-		s.seq += int64(n)
-		s.open(first, n, now, now+s.cfg.RTOSec)
-		emit(segRun{segment{flow: s.node, seq: first, bits: s.segmentBits, born: now}, n})
-	}
+	n := int(int64(s.credit) / int64(s.segmentBits)) // the conversion floors
+	s.credit -= float64(n) * s.segmentBits
+	first := s.seq + 1
+	s.seq += int64(n)
+	s.open(first, n, now, now+s.cfg.RTOSec)
+	emit(segRun{segment{flow: s.node, seq: first, bits: s.segmentBits, born: now}, n})
 	return n
 }
 
@@ -258,31 +259,52 @@ func (s *source) ack(seq int64) ackResult {
 	return ackDuplicate
 }
 
-// ackRun acks each segment of a run that reached a sink, in sequence
-// order, and returns how many were deliveries, late arrivals of abandoned
-// segments, and duplicates.
+// ackRun acks the segments of a run that reached a sink and returns how
+// many were deliveries, late arrivals of abandoned segments, and
+// duplicates. Live and abandoned segments are disjoint, so it clears the
+// run's live bits group by group a word at a time, cuts the run's range
+// out of the abandoned record only when some segment was not live, and
+// counts the rest as duplicates: the same counts and window that acking
+// one segment at a time in sequence order gave.
 func (s *source) ackRun(run segRun) (delivered, late, dups int) {
-	gi := -1
-	for k := 0; k < run.n; k++ {
-		seq := run.seq + int64(k)
-		switch {
-		case s.isLive(seq):
-			if gi < 0 || seq >= s.end(gi) {
-				gi = s.group(seq)
+	lo, hi := run.seq, run.seq+int64(run.n)
+	if s.head < len(s.groups) {
+		from := max(lo, s.groups[s.head].first)
+		for gi := s.group(from); from < hi && gi < len(s.groups); gi++ {
+			end := min(hi, s.end(gi))
+			if end <= from {
+				break // past the newest sequence number
 			}
-			s.kill(seq)
-			s.groups[gi].live--
-			delivered++
-		case s.dropAbandoned(seq):
-			late++
-		default:
-			dups++
+			k := s.killRange(from, end)
+			s.groups[gi].live -= int32(k)
+			delivered += k
+			from = end
 		}
+	}
+	if delivered < run.n {
+		late = s.dropAbandoned(lo, hi)
 	}
 	if delivered > 0 {
 		s.trim()
 	}
-	return delivered, late, dups
+	return delivered, late, run.n - delivered - late
+}
+
+// killRange clears the live bits of sequence numbers [from, to), all in
+// the window, and returns how many were set.
+func (s *source) killRange(from, to int64) int {
+	n := 0
+	lo, hi := from-s.bitBase, to-s.bitBase
+	for lo < hi {
+		b := lo & 63
+		m := min(hi-lo, 64-b)
+		mask := (^uint64(0) >> (64 - m)) << b
+		w := &s.live[s.bitHead+int(lo>>6)]
+		n += bits.OnesCount64(*w & mask)
+		*w &^= mask
+		lo += m
+	}
+	return n
 }
 
 // noteAbandoned inserts seq into the sorted abandoned record.
@@ -293,15 +315,16 @@ func (s *source) noteAbandoned(seq int64) {
 	s.abandoned[i] = seq
 }
 
-// dropAbandoned reports whether seq is in the abandoned record, removing
-// it if so.
-func (s *source) dropAbandoned(seq int64) bool {
-	i := sort.Search(len(s.abandoned), func(i int) bool { return s.abandoned[i] >= seq })
-	if i >= len(s.abandoned) || s.abandoned[i] != seq {
-		return false
+// dropAbandoned removes the abandoned record's entries in [lo, hi) and
+// returns how many there were.
+func (s *source) dropAbandoned(lo, hi int64) int {
+	i := sort.Search(len(s.abandoned), func(i int) bool { return s.abandoned[i] >= lo })
+	j := i
+	for j < len(s.abandoned) && s.abandoned[j] < hi {
+		j++
 	}
-	s.abandoned = append(s.abandoned[:i], s.abandoned[i+1:]...)
-	return true
+	s.abandoned = append(s.abandoned[:i], s.abandoned[j:]...)
+	return j - i
 }
 
 // expire retransmits every timed-out segment with exponentially backed-off

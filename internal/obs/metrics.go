@@ -95,9 +95,9 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveN records n samples of the same value v, leaving the histogram
 // bit-identical to n calls of Observe(v): the bucket search and the lock
-// happen once, but v is added to the running sum n times, because the
-// rounded sum of n additions differs from adding v·n. NaN samples and
-// n ≤ 0 are dropped.
+// happen once, and the running sum takes AddN, which reproduces n rounded
+// additions of v exactly (adding v·n would not). NaN samples and n ≤ 0
+// are dropped.
 func (h *Histogram) ObserveN(v float64, n int) {
 	if h == nil || n <= 0 || math.IsNaN(v) {
 		return
@@ -115,10 +115,124 @@ func (h *Histogram) ObserveN(v float64, n int) {
 		h.max = v
 	}
 	h.count += int64(n)
-	for k := 0; k < n; k++ {
-		h.sum += v
+	if n > 1 {
+		h.sumLocked(v, n)
+		return
 	}
+	h.sum += v
 	h.mu.Unlock()
+}
+
+// sumLocked adds n samples of v to the running sum and releases the lock.
+// It is a function of its own so that Observe's one-add path keeps nothing
+// live across a call: with the call inline, the compiler spilled the
+// histogram and its lock to the stack on every Observe.
+func (h *Histogram) sumLocked(v float64, n int) {
+	h.sum = AddN(h.sum, v, n)
+	h.mu.Unlock()
+}
+
+// AddN returns x after n sequential float64 additions of v (x += v, n
+// times), bit for bit, in time that grows with the binades the running
+// sum crosses rather than with n. n ≤ 0 returns x.
+//
+// Inside one binade every float is a multiple K·w of the binade's ulp w,
+// and an addition whose exact sum stays in the binade lands on the
+// nearest multiple, ties to even K. If v/w is not a half-integer, every
+// such addition adds the same round(v/w)·w. If it is, a tie leaves K
+// even, so every addition after the first in the binade adds the even
+// neighbour of v/w. Either way a stretch of additions inside one binade
+// is one multiply-add on K; only the first addition in a binade and the
+// ones that may cross its edge are taken singly. The subnormals and the
+// lowest normal binade share w = 2^-1074 on both sides of zero, where
+// every sum is exact.
+func AddN(x, v float64, n int) float64 {
+	const (
+		signBit = 1 << 63
+		lo      = int64(1) << 52 // the smallest mantissa K of a normal binade
+		hi      = int64(1)<<53 - 1
+	)
+	for n > 0 {
+		y := x + v
+		n--
+		// y == x: every further addition repeats it. A non-finite sum
+		// absorbs every further addend.
+		if n == 0 || y == x || math.IsInf(y, 0) || math.IsNaN(y) {
+			return y
+		}
+		bx, by := math.Float64bits(x), math.Float64bits(y)
+		if binade(bx) != binade(by) {
+			x = y
+			continue
+		}
+		// y = ±K·w with w = 2^(e-1074).
+		e := max(int(by>>52&0x7ff), 1) - 1
+		neg := by&signBit != 0
+		k := int64(by&^signBit) - int64(e)<<52
+		t := math.Ldexp(v, 1074-e) // v/w, exact
+		var steps int64            // further additions that stay in the binade
+		if e == 0 {
+			// Shared subnormal grid: K is signed and every sum is exact.
+			if neg {
+				k = -k
+			}
+			d := int64(t)
+			if d > 0 {
+				steps = (hi - k) / d
+			} else {
+				steps = (hi + k) / -d
+			}
+			steps = min(steps, int64(n))
+			k += steps * d
+			neg = k < 0
+			if neg {
+				k = -k
+			}
+		} else {
+			// Normal binade: K is y's magnitude, and tm how far one
+			// addition moves it.
+			tm := t
+			if neg {
+				tm = -t
+			}
+			d := int64(math.RoundToEven(tm))
+			switch {
+			case tm > 0 && d == 0:
+				return y
+			case tm > 0:
+				// Every exact sum stays below 2^53·w while K+d ≤ hi.
+				steps = (hi - k) / d
+			case k == lo:
+				// At the binade's floor the next exact sum may fall out
+				// of it.
+				x = y
+				continue
+			case d == 0:
+				return y
+			default:
+				// Every exact sum stays at or above 2^52·w while K+d > lo.
+				steps = (k - lo - 1) / -d
+			}
+			steps = min(steps, int64(n))
+			k += steps * d
+		}
+		n -= int(steps)
+		x = math.Float64frombits(uint64(int64(e)<<52 + k))
+		if neg {
+			x = -x
+		}
+	}
+	return x
+}
+
+// binade names the grid a float's bits lie on: its sign and exponent, or
+// 0 for the subnormals and the lowest normal binade, which share one grid
+// across zero.
+func binade(b uint64) uint64 {
+	if b>>52&0x7ff <= 1 {
+		return 0
+	}
+	return b >> 52
 }
 
 // Count returns the number of observations (zero on nil).

@@ -105,7 +105,8 @@ func (c EvalConfig) withDefaults() EvalConfig {
 // outcomes serialize cleanly and a degenerate candidate can never win.
 type Score struct {
 	// Feasible is false when the design failed structural validation
-	// (netsim.DesignError or econ rejection); Reason says why.
+	// (netsim.DesignError or econ rejection) or offers more load than
+	// netsim accepts; Reason says why.
 	Feasible bool   `json:"feasible"`
 	Reason   string `json:"reason,omitempty"`
 	// NetworkMbps is the constellation-wide delivered network rate.
@@ -270,6 +271,12 @@ func (ev *Evaluator) Evaluate(d econ.Design) (Score, error) {
 		Seed:        seed,
 	})
 	if err != nil {
+		// A load over netsim's caps is the design's, like a structural
+		// rejection: score it infeasible rather than fail the search.
+		var de *netsim.DesignError
+		if errors.As(err, &de) {
+			return Score{Reason: de.Error()}, nil
+		}
 		return Score{}, fmt.Errorf("optimize: netsim for %s: %w", Key(d), err)
 	}
 	networkMbps := float64(res.DeliveredRate) / 1e6 * float64(d.Planes)

@@ -194,3 +194,24 @@ func TestScoresFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestOverCapLoadScoresInfeasible asserts a candidate whose netsim run
+// would offer more than netsim.MaxOfferedSegments is scored infeasible
+// with a reason, the way a structural rejection is, instead of failing
+// the evaluation (and with it the whole search).
+func TestOverCapLoadScoresInfeasible(t *testing.T) {
+	cfg := testEval()
+	cfg.PerSat = 1e13 // 16 satellites × 10 s offer 1.6e9 one-megabit segments
+	ev, err := NewEvaluator(cfg, testSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := econ.Design{Planes: 1, SatsPerPlane: 16, AltitudeKm: 550, K: 2, Split: 1, DevicesPerSuDC: 1, Recovery: econ.RecoveryNone}
+	s, err := ev.Evaluate(d)
+	if err != nil {
+		t.Fatalf("over-cap candidate failed the evaluation: %v", err)
+	}
+	if s.Feasible || s.Objective != 0 || !strings.Contains(s.Reason, "load") {
+		t.Fatalf("over-cap candidate scored %+v, want infeasible with a load reason", s)
+	}
+}

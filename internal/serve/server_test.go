@@ -251,6 +251,27 @@ func TestEvalRejectsOversizedNetsim(t *testing.T) {
 	}
 }
 
+// TestEvalRejectsUnboundedNetsimLoad asserts a netsim spec whose load
+// netsim cannot account exactly or in bounded memory — a fractional
+// segment size, a per-satellite rate far over the offered-segment cap, a
+// rate that overflows to +Inf — is refused with a 422 before any run
+// starts, and the daemon stays healthy.
+func TestEvalRejectsUnboundedNetsimLoad(t *testing.T) {
+	s := New(Config{})
+	for _, body := range []string{
+		`{"netsim":{"sats":8,"per_sat_mbps":100,"segment_bits":1000000.5}}`,
+		`{"netsim":{"sats":8,"per_sat_mbps":1e12}}`,
+		`{"netsim":{"sats":8,"per_sat_mbps":1e303}}`,
+	} {
+		if w := post(t, s, "/v1/eval", body); w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("body %s: status %d, want 422: %s", body, w.Code, w.Body.String())
+		}
+	}
+	if w := get(t, s, "/healthz"); w.Code != http.StatusOK {
+		t.Errorf("healthz after unbounded-load specs: status %d", w.Code)
+	}
+}
+
 // TestEvalOverload asserts the admission gate: with one slot and no
 // queue, a second concurrent eval is rejected 429 with a Retry-After
 // hint while the first completes normally.
