@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Records the benchmark of the checkout it runs in: perfbench's three
-# workloads at one fixed seed, each once untraced (end-to-end metrics) and
+# workloads at seed 7 for 30 s, each once untraced (end-to-end metrics) and
 # once traced (per-layer metrics). Each run's env line and final JSON line
-# go into BENCH_<label>.json.
-#   bash bench_record.sh <label> [seed] [seconds]
-# Run it from the repository root; the seed defaults to 7 and the seconds
-# to 30, the values every committed BENCH_*.json was recorded with.
+# go into BENCH_<label>.json. Seed and length are fixed so that any two
+# BENCH_*.json files compare.
+#   bash bench_record.sh <label>
+# Run it from the repository root.
 set -euo pipefail
-label=${1:?usage: bash bench_record.sh <label> [seed] [seconds]}
-seed=${2:-7}
-seconds=${3:-30}
+if [[ $# -ne 1 ]]; then
+	echo "usage: bash bench_record.sh <label>" >&2
+	exit 2
+fi
+label=$1
+readonly seed=7 seconds=30
 out="BENCH_${label}.json"
 log=$(mktemp)
 trap 'rm -f "$log" "$out.tmp"' EXIT

@@ -116,19 +116,10 @@ func (h *Histogram) ObserveN(v float64, n int) {
 	}
 	h.count += int64(n)
 	if n > 1 {
-		h.sumLocked(v, n)
-		return
+		h.sum = AddN(h.sum, v, n)
+	} else {
+		h.sum += v
 	}
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// sumLocked adds n samples of v to the running sum and releases the lock.
-// It is a function of its own so that Observe's one-add path keeps nothing
-// live across a call: with the call inline, the compiler spilled the
-// histogram and its lock to the stack on every Observe.
-func (h *Histogram) sumLocked(v float64, n int) {
-	h.sum = AddN(h.sum, v, n)
 	h.mu.Unlock()
 }
 
