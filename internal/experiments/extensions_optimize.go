@@ -74,8 +74,9 @@ func ExtOptimize() ([]report.Table, error) {
 	}
 	addRow("heuristic", cfg.Seed, heur)
 	for _, seed := range randomBaselineSeeds {
-		rcfg := optimize.Config{Seed: seed, Budget: cfg.Budget, Eval: cfg.Eval}
-		r, err := optimize.RandomSearch(context.Background(), rcfg, space)
+		// One chain per proposal: the whole budget is Search's round zero of uniform draws.
+		rcfg := optimize.Config{Seed: seed, Budget: cfg.Budget, Restarts: cfg.Budget, Eval: cfg.Eval}
+		r, err := optimize.Search(context.Background(), rcfg, space)
 		if err != nil {
 			return nil, fmt.Errorf("ext-optimize: random sweep seed %d: %w", seed, err)
 		}

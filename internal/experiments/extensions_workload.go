@@ -177,7 +177,7 @@ func ExtWorkload() ([]report.Table, error) {
 	}
 	results := make([]qos.Result, len(cells))
 	errs := make([]error, len(cells))
-	pool.MapObs(len(cells), 0, nil, "experiments.workload.pool", func(i int) error {
+	pool.Map(len(cells), 0, func(i int) error {
 		sc, err := WorkloadScenario(cells[i].policy, qos.CampaignCombined, cells[i].load, 0, 5)
 		if err != nil {
 			errs[i] = err

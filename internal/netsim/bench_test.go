@@ -32,7 +32,7 @@ func bigGridScenario(seed int64, full bool) Scenario {
 		DurationSec:   60,
 		WarmupSec:     10,
 		Seed:          seed,
-		FullRecompute: full,
+		fullRecompute: full,
 	}
 }
 

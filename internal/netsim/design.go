@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"spacedc/internal/isl"
-	"spacedc/internal/orbit"
 )
 
 // MaxDesignNodes caps the node population (satellites plus sinks) of
@@ -35,14 +34,16 @@ func designErrf(field, format string, args ...any) *DesignError {
 }
 
 // DesignTopology builds the per-plane TopologySpec for one candidate
-// constellation design, validating the planes×sats-per-plane bounds and
-// the ISL budget before any graph exists. It is the construction path the
-// design-space optimizer evaluates candidates through; unlike the serving
-// layer's lenient spec decoding (which clamps a zero K to a ring), it
-// REJECTS degenerate designs with a *DesignError. A zero-ISL-budget
-// design (k = 0) would otherwise build an empty-fabric graph that ships
-// nothing and — at zero marginal cost — scores an infinite
-// goodput-per-dollar objective, silently winning the search.
+// constellation design. It is the construction path the design-space
+// optimizer evaluates candidates through; unlike the serving layer's
+// lenient spec decoding (which clamps a zero K to a ring), it REJECTS
+// degenerate designs with a *DesignError. A zero-ISL-budget design (k = 0)
+// would otherwise build an empty-fabric graph that ships nothing and — at
+// zero marginal cost — scores an infinite goodput-per-dollar objective,
+// silently winning the search. It checks only what the spec cannot carry
+// (the plane count, the planes×sats-per-plane ceiling, an altitude the
+// spec would default, a GEO star that also names a fabric) and returns
+// the spec's own Validate verdict for the rest.
 //
 // Cluster designs set geoSinks = 0; GEO-star designs set k = 0, split = 0
 // and geoSinks ≥ 1. The returned spec describes ONE plane of the design
@@ -53,90 +54,48 @@ func DesignTopology(planes, satsPerPlane int, altKm float64, k, split, geoSinks 
 	if planes < 1 {
 		return TopologySpec{}, designErrf("planes", "need ≥ 1, got %d", planes)
 	}
-	if satsPerPlane < 1 {
-		return TopologySpec{}, designErrf("sats-per-plane", "need ≥ 1, got %d", satsPerPlane)
-	}
 	// Overflow-safe population bound: check with division before
 	// multiplying.
 	if satsPerPlane > MaxDesignNodes/planes {
 		return TopologySpec{}, designErrf("planes×sats-per-plane",
 			"%d×%d exceeds the %d-node design ceiling", planes, satsPerPlane, MaxDesignNodes)
 	}
+	// A one-plane spec reads altitude 0 as 550 km; a design must name its
+	// own.
 	if !(altKm > 0) || altKm > 100e3 {
 		return TopologySpec{}, designErrf("altitude", "need 0 < alt ≤ 100000 km, got %v", altKm)
 	}
-	if tech.Capacity <= 0 {
-		return TopologySpec{}, designErrf("link-tech", "non-positive capacity %v", tech.Capacity)
-	}
-
 	ts := TopologySpec{
 		Sats:     satsPerPlane,
 		Cluster:  isl.Topology{K: k, Split: split},
 		Tech:     tech,
 		LowAltKm: altKm,
 	}
-	sinks := split
 	if geoSinks > 0 {
 		if k != 0 || split != 0 {
 			return TopologySpec{}, designErrf("topology",
 				"GEO-star design cannot also carry a cluster fabric (k=%d split=%d)", k, split)
 		}
-		if altKm >= orbit.GeostationaryAltitudeKm {
-			return TopologySpec{}, designErrf("altitude", "GEO-star design needs alt < %v km, got %v",
-				orbit.GeostationaryAltitudeKm, altKm)
-		}
-		// The plane's block of satellites; its sinks are shared.
 		ts.Kind, ts.GEOSinks = GEOStarTopology, geoSinks
-		sinks = ts.geoSinks()
-	} else if err := checkCluster("", satsPerPlane, ts.Cluster); err != nil {
-		return TopologySpec{}, err
 	}
-	// The plane's graph adds its sinks to the satellites, which a
-	// one-plane design at the ceiling has no room for.
-	if satsPerPlane+sinks > MaxDesignNodes {
-		return TopologySpec{}, designErrf("planes×sats-per-plane",
-			"%d satellites and %d sinks per plane exceed the %d-node design ceiling", satsPerPlane, sinks, MaxDesignNodes)
+	if err := ts.Validate(); err != nil {
+		return TopologySpec{}, err
 	}
 	return ts, nil
 }
 
-// checkCluster is the per-plane cluster check DesignTopology and
-// DesignShells share: an even receiver fan-in K ≥ 2 (k = 0 is the
-// zero-ISL-budget degenerate case), at least one SµDC, and enough
-// satellites to populate Split sinks × K receivers. Field names start with
-// prefix, so a stack's rejections name their shell.
-func checkCluster(prefix string, sats int, cl isl.Topology) error {
-	if cl.K < 2 || cl.K%2 != 0 {
-		return designErrf(prefix+"isl-budget",
-			"cluster fabric needs an even receiver fan-in K ≥ 2, got %d (a zero-ISL design ships nothing)", cl.K)
-	}
-	if cl.Split < 1 {
-		return designErrf(prefix+"split", "need ≥ 1 SµDC per plane, got %d", cl.Split)
-	}
-	// Division form: K·Split can overflow for adversarial values.
-	if cl.Split > sats/cl.K {
-		return designErrf(prefix+"sats-per-plane",
-			"%d satellites cannot populate %d sinks × %d receivers", sats, cl.Split, cl.K)
-	}
-	return nil
-}
-
 // DesignShells builds the per-plane multi-shell TopologySpec for a
-// candidate shell stack, applying DesignTopology's cluster checks to every
-// shell plus the stack-level bounds (cumulative node ceiling, cross-link
-// budget within the smaller shell). Each shell's Sats is its per-plane
-// population. Like DesignTopology it REJECTS degenerate stacks with a
-// typed *DesignError — never a panic and never a spec whose Validate would
-// fail — which the fuzz suite pins down against adversarial counts and
-// non-finite altitudes. All shells share the inter rule and crossLinks
-// budget (0 = one pair per satellite of the smaller shell of each adjacent
-// pair).
+// candidate shell stack: each shell's Sats is its per-plane population,
+// and every adjacent pair shares the inter rule and crossLinks budget (0 =
+// one pair per satellite of the smaller shell). Like DesignTopology it
+// REJECTS degenerate stacks with a typed *DesignError — never a panic and
+// never a spec whose Validate would fail — which the fuzz suite pins down
+// against adversarial counts and non-finite altitudes. It checks the rule
+// and budget itself, since a one-shell stack carries no rule for Validate
+// to see, and returns Validate's verdict for the rest.
 func DesignShells(shells []ShellSpec, inter InterShellKind, crossLinks int, tech isl.LinkTech) (TopologySpec, error) {
 	if len(shells) < 1 {
 		return TopologySpec{}, designErrf("shells", "need ≥ 1 shell, got %d", len(shells))
-	}
-	if tech.Capacity <= 0 {
-		return TopologySpec{}, designErrf("link-tech", "non-positive capacity %v", tech.Capacity)
 	}
 	if inter != InterShellAligned && inter != InterShellNearest {
 		return TopologySpec{}, designErrf("inter-shell", "unknown rule kind %d", int(inter))
@@ -145,38 +104,11 @@ func DesignShells(shells []ShellSpec, inter InterShellKind, crossLinks int, tech
 		return TopologySpec{}, designErrf("cross-links", "need ≥ 0, got %d", crossLinks)
 	}
 	ts := TopologySpec{Kind: ClusterTopology, Tech: tech, Shells: slices.Clone(shells)}
-	totalNodes := 0
-	for i, sh := range shells {
-		field := fmt.Sprintf("shell[%d].", i)
-		if sh.Sats < 1 {
-			return TopologySpec{}, designErrf(field+"sats-per-plane", "need ≥ 1, got %d", sh.Sats)
-		}
-		// Per-shell cap before accumulating, so adversarial counts near
-		// MaxInt cannot overflow the running total below.
-		if sh.Sats > MaxDesignNodes {
-			return TopologySpec{}, designErrf(field+"sats-per-plane",
-				"%d exceeds the %d-node design ceiling", sh.Sats, MaxDesignNodes)
-		}
-		if !(sh.AltKm > 0) || sh.AltKm > 100e3 {
-			return TopologySpec{}, designErrf(field+"altitude", "need 0 < alt ≤ 100000 km, got %v", sh.AltKm)
-		}
-		if err := checkCluster(field, sh.Sats, sh.Cluster); err != nil {
-			return TopologySpec{}, err
-		}
-		totalNodes += sh.Sats + sh.Cluster.Split
-		if totalNodes > MaxDesignNodes {
-			return TopologySpec{}, designErrf("shells",
-				"stack exceeds the %d-node design ceiling at shell %d", MaxDesignNodes, i)
-		}
-	}
-	for i := 0; i+1 < len(shells); i++ {
-		minSats := min(shells[i].Sats, shells[i+1].Sats)
-		if crossLinks > minSats {
-			return TopologySpec{}, designErrf("cross-links",
-				"budget %d exceeds the %d satellites of the smaller shell in pair %d–%d",
-				crossLinks, minSats, i, i+1)
-		}
+	for range len(shells) - 1 {
 		ts.InterShell = append(ts.InterShell, InterShellRule{Kind: inter, CrossLinks: crossLinks})
+	}
+	if err := ts.Validate(); err != nil {
+		return TopologySpec{}, err
 	}
 	return ts, nil
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"spacedc/internal/isl"
@@ -54,6 +55,55 @@ func TestDesignTopologyRejectsDegenerate(t *testing.T) {
 	var de *DesignError
 	if !errors.As(err, &de) || de.Field != "link-tech" {
 		t.Fatalf("zero-capacity tech: got %v", err)
+	}
+
+	// Stacks name the failing shell; stack-level fields stay bare.
+	ring := func(sats int, alt float64) ShellSpec { return ShellSpec{Sats: sats, Cluster: isl.Ring, AltKm: alt} }
+	for _, tc := range []struct {
+		name       string
+		shells     []ShellSpec
+		crossLinks int
+		field      string
+	}{
+		{"odd K in shell 1", []ShellSpec{ring(16, 550), {Sats: 16, Cluster: isl.Topology{K: 3, Split: 1}, AltKm: 800}}, 0, "shell[1].isl-budget"},
+		{"cross-links over the smaller shell", []ShellSpec{ring(16, 550), ring(8, 800)}, 9, "cross-links"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := DesignShells(tc.shells, InterShellAligned, tc.crossLinks, tech)
+			var de *DesignError
+			if !errors.As(err, &de) || de.Field != tc.field {
+				t.Fatalf("got err %v, want a *DesignError on field %q", err, tc.field)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsNonFiniteLinks is the regression test for link
+// capacities and queue depths that slip past sign checks: a NaN or +Inf
+// must fail Validate, and so BuildGraph, with a *DesignError instead of
+// building links whose capacity or queue limit is not a number.
+func TestValidateRejectsNonFiniteLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edit  func(*TopologySpec)
+		field string
+	}{
+		{"NaN capacity", func(ts *TopologySpec) { ts.Tech.Capacity = units.DataRate(math.NaN()) }, "link-tech"},
+		{"+Inf capacity", func(ts *TopologySpec) { ts.Tech.Capacity = units.DataRate(math.Inf(1)) }, "link-tech"},
+		{"NaN queue depth", func(ts *TopologySpec) { ts.QueueSec = math.NaN() }, "queue"},
+		{"+Inf queue depth", func(ts *TopologySpec) { ts.QueueSec = math.Inf(1) }, "queue"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := TopologySpec{Sats: 8, Cluster: isl.Ring, Tech: isl.Optical10G, QueueSec: 1}
+			tc.edit(&ts)
+			_, buildErr := BuildGraph(ts)
+			for name, err := range map[string]error{"Validate": ts.Validate(), "BuildGraph": buildErr} {
+				var de *DesignError
+				if !errors.As(err, &de) || de.Field != tc.field {
+					t.Errorf("%s: got err %v, want a *DesignError on field %q", name, err, tc.field)
+				}
+			}
+		})
 	}
 }
 

@@ -74,12 +74,12 @@ func expSample(rng *rand.Rand, mean float64) float64 {
 // faultState runs the MTBF/MTTR processes and the eclipse sweep over a
 // graph.
 type faultState struct {
-	cfg     FaultConfig
-	rng     *rand.Rand
-	optical bool
+	cfg FaultConfig
+	rng *rand.Rand
 	// eclipse sweep geometry, indexed by shell: the fraction of each
 	// shell's plane in shadow and the period of one sweep. Single-shell
-	// specs get one entry. anyEclipse is false when every fraction is 0,
+	// specs get one entry; specs without an eclipse regime on optical
+	// terminals get none. anyEclipse is false when every fraction is 0,
 	// disabling the sweep.
 	eclipseFrac []float64
 	periodSec   []float64
@@ -163,10 +163,12 @@ func (h *flipHeap) popDue(now float64, due []int) []int {
 }
 
 // newFaultState seeds the processes over g: every link, then every
-// satellite, draws its first transition time at t = 0.
+// satellite, draws its first transition time at t = 0. Only optical
+// terminals under EclipseOutage get the eclipse sweep, so a node is ever
+// eclipsed only where its shadow takes its links down.
 func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *faultState {
-	fs := &faultState{cfg: cfg, rng: rng, optical: ts.Tech.Optical}
-	if cfg.EclipseOutage {
+	fs := &faultState{cfg: cfg, rng: rng}
+	if cfg.EclipseOutage && ts.Tech.Optical {
 		for _, sh := range ts.stack() {
 			frac, period := eclipseFractionAt(sh.AltKm)
 			fs.eclipseFrac = append(fs.eclipseFrac, frac)
@@ -203,7 +205,7 @@ func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *
 // one per transition. A failed satellite loses the segments buffered on
 // its outgoing links; those losses count as drops only inside the
 // measurement window.
-func (fs *faultState) update(t float64, g *Graph, measure, eclipseOutage bool) bool {
+func (fs *faultState) update(t float64, g *Graph, measure bool) bool {
 	changed := false
 	if fs.cfg.LinkOutage > 0 {
 		fs.due = fs.linkClock.popDue(t, fs.due[:0])
@@ -211,7 +213,7 @@ func (fs *faultState) update(t float64, g *Graph, measure, eclipseOutage bool) b
 		mtbf := fs.cfg.linkMTBF()
 		for _, id := range fs.due {
 			l := g.Links[id]
-			g.noteLink(id, eclipseOutage)
+			g.noteLink(id)
 			for t >= l.nextFlip {
 				l.Up = !l.Up
 				fs.Events++
@@ -230,7 +232,7 @@ func (fs *faultState) update(t float64, g *Graph, measure, eclipseOutage bool) b
 		sort.Ints(fs.due)
 		for _, s := range fs.due {
 			n := &g.nodes[s]
-			g.noteNode(s, eclipseOutage)
+			g.noteNode(s)
 			for t >= n.nextFlip {
 				n.Up = !n.Up
 				fs.Events++
@@ -247,8 +249,8 @@ func (fs *faultState) update(t float64, g *Graph, measure, eclipseOutage bool) b
 			fs.nodeClock.push(flipEntry{t: n.nextFlip, id: s})
 		}
 	}
-	if fs.anyEclipse && fs.optical {
-		changed = fs.updateEclipse(t, g, eclipseOutage) || changed
+	if fs.anyEclipse {
+		changed = fs.updateEclipse(t, g) || changed
 	}
 	return changed
 }
@@ -261,7 +263,7 @@ func (fs *faultState) update(t float64, g *Graph, measure, eclipseOutage bool) b
 // eclipseFrac) and records the minimum, so the steps between crossings —
 // the overwhelming majority at a 0.1 s resolution against a ~95-minute
 // sweep — skip the scan in O(1).
-func (fs *faultState) updateEclipse(t float64, g *Graph, eclipseOutage bool) bool {
+func (fs *faultState) updateEclipse(t float64, g *Graph) bool {
 	if t < fs.nextEclipse {
 		return false
 	}
@@ -279,7 +281,7 @@ func (fs *faultState) updateEclipse(t float64, g *Graph, eclipseOutage bool) boo
 		phase := math.Mod(t/period+n.posFrac, 1)
 		ecl := phase < frac
 		if ecl != n.eclipsed {
-			g.noteNode(i, eclipseOutage)
+			g.noteNode(i)
 			n.eclipsed = ecl
 			fs.Events++
 			changed = true

@@ -111,7 +111,7 @@ func faultClocksAcrossEpochs(t *testing.T, ts TopologySpec) *Graph {
 		t.Fatal(err)
 	}
 	fs := newFaultState(cfg, ts, g, rand.New(rand.NewSource(1)))
-	g.recomputeRoutes(true)
+	g.recomputeRoutes()
 	check := func(now float64) {
 		dead := func(v float64) bool { return v < now || math.IsInf(v, 1) }
 		for _, l := range g.Links {
@@ -128,8 +128,8 @@ func faultClocksAcrossEpochs(t *testing.T, ts TopologySpec) *Graph {
 	check(0)
 	const epochSec = 30
 	for now := float64(epochSec); now <= 4*epochSec; now += epochSec {
-		fs.update(now, g, true, true)
-		g.recomputeRoutes(true)
+		fs.update(now, g, true)
+		g.recomputeRoutes()
 		check(now)
 	}
 	if fs.Events == 0 {

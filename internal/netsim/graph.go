@@ -10,7 +10,7 @@ type node struct {
 	// Up is false while the whole satellite is failed.
 	Up bool
 	// eclipsed is true while the satellite is inside the Earth-shadow
-	// sweep (matters only to optical links under EclipseOutage).
+	// sweep, which runs only for optical terminals under EclipseOutage.
 	eclipsed bool
 	// posFrac is the node's angular position around the plane in [0,1),
 	// which phases its passage through the shadow arc.
@@ -145,16 +145,12 @@ func (g *Graph) addLink(from, to int, capBps, delaySec, queueBits float64) *Link
 }
 
 // usable reports whether a link can carry traffic right now: the link
-// itself is acquired, both endpoints are alive, and (for optical terminals
-// under an eclipse-outage regime) neither endpoint is in shadow.
-func (g *Graph) usable(l *Link, eclipseOutage bool) bool {
-	if !l.Up || !g.nodes[l.From].Up || !g.nodes[l.To].Up {
-		return false
-	}
-	if eclipseOutage && (g.nodes[l.From].eclipsed || g.nodes[l.To].eclipsed) {
-		return false
-	}
-	return true
+// itself is acquired, both endpoints are alive, and neither endpoint is in
+// shadow (only the sweep of optical terminals under an eclipse-outage
+// regime marks a node eclipsed).
+func (g *Graph) usable(l *Link) bool {
+	from, to := &g.nodes[l.From], &g.nodes[l.To]
+	return l.Up && from.Up && to.Up && !from.eclipsed && !to.eclipsed
 }
 
 // CrossShellLinks reports the number of directed inter-shell links in the
@@ -177,7 +173,7 @@ func (g *Graph) isSink(id int) bool {
 // are dropped at enqueue time, to be recovered by transport retransmission
 // once connectivity returns. Any pending usability batch is discarded — a
 // full recompute subsumes it.
-func (g *Graph) recomputeRoutes(eclipseOutage bool) {
+func (g *Graph) recomputeRoutes() {
 	g.clearPending()
 	for i := range g.dist {
 		g.dist[i] = infDist
@@ -193,7 +189,7 @@ func (g *Graph) recomputeRoutes(eclipseOutage bool) {
 		v := queue[qi]
 		for _, li := range g.in[v] {
 			l := g.Links[li]
-			if !g.usable(l, eclipseOutage) {
+			if !g.usable(l) {
 				continue
 			}
 			if u := l.From; g.dist[u] > g.dist[v]+1 {
@@ -204,7 +200,7 @@ func (g *Graph) recomputeRoutes(eclipseOutage bool) {
 	}
 	g.stack = queue[:0]
 	for u := range g.next {
-		g.next[u] = g.deriveNext(u, eclipseOutage)
+		g.next[u] = g.deriveNext(u)
 	}
 }
 
@@ -214,14 +210,14 @@ func (g *Graph) recomputeRoutes(eclipseOutage bool) {
 // choice depends only on dist and the usability state — never on the
 // order route updates happened to run in — the incremental repair path
 // and a from-scratch BFS agree on every entry.
-func (g *Graph) deriveNext(u int, eclipseOutage bool) int {
+func (g *Graph) deriveNext(u int) int {
 	d := g.dist[u]
 	if d == 0 || d == infDist {
 		return -1
 	}
 	for _, li := range g.out[u] {
 		l := g.Links[li]
-		if g.usable(l, eclipseOutage) && g.dist[l.To] == d-1 {
+		if g.usable(l) && g.dist[l.To] == d-1 {
 			return li
 		}
 	}
@@ -232,7 +228,7 @@ func (g *Graph) deriveNext(u int, eclipseOutage bool) int {
 // batch. The fault layer must call it (directly or via noteNode) before
 // every mutation that can change the link's usability, so notedWas always
 // holds the pre-batch value.
-func (g *Graph) noteLink(li int, eclipseOutage bool) {
+func (g *Graph) noteLink(li int) {
 	if len(g.noted) != len(g.Links) {
 		g.noted = make([]bool, len(g.Links))
 	}
@@ -241,17 +237,17 @@ func (g *Graph) noteLink(li int, eclipseOutage bool) {
 	}
 	g.noted[li] = true
 	g.notedIDs = append(g.notedIDs, li)
-	g.notedWas = append(g.notedWas, g.usable(g.Links[li], eclipseOutage))
+	g.notedWas = append(g.notedWas, g.usable(g.Links[li]))
 }
 
 // noteNode records every link incident to node id ahead of a node-state
 // flip (satellite failure/recovery or an eclipse transition).
-func (g *Graph) noteNode(id int, eclipseOutage bool) {
+func (g *Graph) noteNode(id int) {
 	for _, li := range g.out[id] {
-		g.noteLink(li, eclipseOutage)
+		g.noteLink(li)
 	}
 	for _, li := range g.in[id] {
-		g.noteLink(li, eclipseOutage)
+		g.noteLink(li)
 	}
 }
 
@@ -324,14 +320,14 @@ func (g *Graph) setBest(u, d int) {
 // means the tables were already correct and nothing was touched. Sink
 // liveness changes are outside its contract: the fault layer never fails a
 // SµDC, and epoch boundaries take the full-recompute path.
-func (g *Graph) repairRoutes(eclipseOutage bool) bool {
+func (g *Graph) repairRoutes() bool {
 	g.ensureScratch()
 
 	// Classify the batch by net usability change; flip-and-flip-back (or a
 	// flip shadowed by a still-down endpoint) nets out to nothing.
 	downs, ups := g.downs[:0], g.ups[:0]
 	for k, li := range g.notedIDs {
-		nowUsable := g.usable(g.Links[li], eclipseOutage)
+		nowUsable := g.usable(g.Links[li])
 		if g.notedWas[k] == nowUsable {
 			continue
 		}
@@ -388,7 +384,7 @@ func (g *Graph) repairRoutes(eclipseOutage bool) bool {
 		b := infDist
 		for _, li := range g.out[u] {
 			l := g.Links[li]
-			if !g.usable(l, eclipseOutage) {
+			if !g.usable(l) {
 				continue
 			}
 			if d := g.dist[l.To]; d < infDist && d+1 < b {
@@ -415,7 +411,7 @@ func (g *Graph) repairRoutes(eclipseOutage bool) bool {
 			g.dist[u] = d
 			for _, li := range g.in[u] {
 				l := g.Links[li]
-				if !g.usable(l, eclipseOutage) {
+				if !g.usable(l) {
 					continue
 				}
 				w := l.From
@@ -471,7 +467,7 @@ func (g *Graph) repairRoutes(eclipseOutage bool) bool {
 			g.touch(u)
 			for _, li := range g.in[u] {
 				l := g.Links[li]
-				if !g.usable(l, eclipseOutage) {
+				if !g.usable(l) {
 					continue
 				}
 				w := l.From
@@ -493,7 +489,7 @@ func (g *Graph) repairRoutes(eclipseOutage bool) bool {
 
 	// Re-derive the canonical next-hop for every touched node.
 	for _, u := range g.touchIDs {
-		g.next[u] = g.deriveNext(u, eclipseOutage)
+		g.next[u] = g.deriveNext(u)
 		g.touched[u] = false
 	}
 	g.touchIDs = g.touchIDs[:0]

@@ -22,7 +22,7 @@ func TestRingGraphStructure(t *testing.T) {
 	if len(g.Links) != 18 {
 		t.Errorf("ring link count %d, want 18", len(g.Links))
 	}
-	g.recomputeRoutes(false)
+	g.recomputeRoutes()
 	for _, s := range g.Sources {
 		if g.next[s] < 0 {
 			t.Errorf("source %d unrouted in a healthy ring", s)
@@ -48,13 +48,13 @@ func TestRoutingReroutesAroundDownLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.recomputeRoutes(false)
+	g.recomputeRoutes()
 	// Kill node 1's routed link toward the sink; the ring must still
 	// reach the SµDC the long way around.
 	li := g.next[1]
 	before := g.dist[1]
 	g.Links[li].Up = false
-	g.recomputeRoutes(false)
+	g.recomputeRoutes()
 	if g.next[1] < 0 {
 		t.Fatal("node 1 partitioned by a single link failure in a ring")
 	}
@@ -99,7 +99,7 @@ func TestGEOStarAssignsEverySatellite(t *testing.T) {
 	if len(g.Links) != 10 {
 		t.Errorf("GEO star has %d links, want one per satellite", len(g.Links))
 	}
-	g.recomputeRoutes(false)
+	g.recomputeRoutes()
 	for _, s := range g.Sources {
 		if g.next[s] < 0 {
 			t.Errorf("satellite %d has no GEO uplink", s)

@@ -64,7 +64,7 @@ func TestMultiShellGraphStructure(t *testing.T) {
 		}
 	}
 	// Routing must reach every source from the sinks across both shells.
-	g.recomputeRoutes(true)
+	g.recomputeRoutes()
 	for _, s := range g.Sources {
 		if g.next[s] < 0 {
 			t.Errorf("source %d unroutable in the multi-shell graph", s)
@@ -268,7 +268,7 @@ func TestMultiShellRunBitIdentityIncrementalVsFull(t *testing.T) {
 		t.Fatal("multi-shell fault storm exercised no incremental repairs")
 	}
 	full := sc
-	full.FullRecompute = true
+	full.fullRecompute = true
 	ref, err := Run(full)
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +397,7 @@ func checkGraph(t *testing.T, ts TopologySpec) {
 			t.Fatalf("link %d→%d has delay %v s, capacity %v bit/s (spec %+v)", l.From, l.To, l.DelaySec, l.CapacityBps, ts)
 		}
 	}
-	g.recomputeRoutes(true)
+	g.recomputeRoutes()
 	for _, s := range g.Sinks {
 		if g.dist[s] != 0 {
 			t.Fatalf("sink %d at distance %d after recompute", s, g.dist[s])

@@ -79,13 +79,12 @@ type Scenario struct {
 	// Seed drives the fault and jitter randomness; runs are deterministic
 	// given a seed.
 	Seed int64
-	// FullRecompute is a validation knob: when set, every fault-driven
-	// routing update runs the full multi-source BFS instead of the
-	// incremental repair path. Both paths produce bit-identical routing
-	// tables and Results — the differential tests and the big-grid sweep
-	// benchmark run both sides to prove it — so production scenarios leave
-	// this false and keep the repair path's speed.
-	FullRecompute bool
+	// fullRecompute makes every fault-driven routing update run the full
+	// multi-source BFS instead of the incremental repair path. Both paths
+	// produce bit-identical routing tables and Results; the differential
+	// tests and the big-grid sweep benchmark set it to run the reference
+	// side.
+	fullRecompute bool
 	// Obs, when non-nil, receives the run's metrics, per-step samples, and
 	// spans (see internal/obs). Observability is write-only: it never
 	// alters the simulation, so instrumented runs stay bit-identical to

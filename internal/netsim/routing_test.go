@@ -20,18 +20,17 @@ func TestIncrementalRoutingMatchesFullBFS(t *testing.T) {
 	cases := []struct {
 		name string
 		spec TopologySpec
-		eo   bool
 	}{
-		{"ring", TopologySpec{Kind: ClusterTopology, Sats: 9, Cluster: isl.Ring, Tech: isl.RFKaBand, QueueSec: 1}, false},
-		{"klist-split", TopologySpec{Kind: ClusterTopology, Sats: 24, Cluster: isl.Topology{K: 4, Split: 2}, Tech: isl.Optical10G, QueueSec: 1}, true},
-		{"geo-star", TopologySpec{Kind: GEOStarTopology, Sats: 12, GEOSinks: 3, Tech: isl.Optical10G, QueueSec: 1}, true},
+		{"ring", TopologySpec{Kind: ClusterTopology, Sats: 9, Cluster: isl.Ring, Tech: isl.RFKaBand, QueueSec: 1}},
+		{"klist-split", TopologySpec{Kind: ClusterTopology, Sats: 24, Cluster: isl.Topology{K: 4, Split: 2}, Tech: isl.Optical10G, QueueSec: 1}},
+		{"geo-star", TopologySpec{Kind: GEOStarTopology, Sats: 12, GEOSinks: 3, Tech: isl.Optical10G, QueueSec: 1}},
 		{"2shell", TopologySpec{Kind: ClusterTopology, Tech: isl.Optical10G, QueueSec: 1,
 			Shells: []ShellSpec{
 				{Sats: 9, Cluster: isl.Ring, AltKm: 550},
 				{Sats: 6, Cluster: isl.Ring, AltKm: 800},
 			},
 			InterShell: []InterShellRule{{Kind: InterShellAligned}},
-		}, true},
+		}},
 		{"3shell", TopologySpec{Kind: ClusterTopology, Tech: isl.Optical10G, QueueSec: 1,
 			Shells: []ShellSpec{
 				{Sats: 12, Cluster: isl.Topology{K: 4, Split: 2}, AltKm: 550},
@@ -42,7 +41,7 @@ func TestIncrementalRoutingMatchesFullBFS(t *testing.T) {
 				{Kind: InterShellNearest},
 				{Kind: InterShellAligned, CrossLinks: 3},
 			},
-		}, true},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,26 +70,26 @@ func TestIncrementalRoutingMatchesFullBFS(t *testing.T) {
 			if len(crossIDs) > 0 {
 				mutations = 4
 			}
-			g.recomputeRoutes(tc.eo)
-			shadow.recomputeRoutes(tc.eo)
+			g.recomputeRoutes()
+			shadow.recomputeRoutes()
 			repaired, crossFlips := 0, 0
 			for batch := 0; batch < 400; batch++ {
 				// Occasional epoch boundary: the incremental side takes a
 				// full recompute and must keep repairing correctly
 				// afterward.
 				if rng.Intn(25) == 0 {
-					g.recomputeRoutes(tc.eo)
+					g.recomputeRoutes()
 				}
 				for m := 1 + rng.Intn(3); m > 0; m-- {
 					switch rng.Intn(mutations) {
 					case 0: // link pointing loss / reacquisition
 						li := rng.Intn(len(g.Links))
-						g.noteLink(li, tc.eo)
+						g.noteLink(li)
 						g.Links[li].Up = !g.Links[li].Up
 						shadow.Links[li].Up = g.Links[li].Up
 					case 1: // whole-satellite failure / recovery
 						s := g.Sources[rng.Intn(len(g.Sources))]
-						g.noteNode(s, tc.eo)
+						g.noteNode(s)
 						g.nodes[s].Up = !g.nodes[s].Up
 						shadow.nodes[s].Up = g.nodes[s].Up
 					case 2: // eclipse sweep transition (never on GEO nodes)
@@ -98,21 +97,21 @@ func TestIncrementalRoutingMatchesFullBFS(t *testing.T) {
 						if g.nodes[i].geo {
 							i = g.Sources[0]
 						}
-						g.noteNode(i, tc.eo)
+						g.noteNode(i)
 						g.nodes[i].eclipsed = !g.nodes[i].eclipsed
 						shadow.nodes[i].eclipsed = g.nodes[i].eclipsed
 					default: // inter-shell link downed/restored
 						li := crossIDs[rng.Intn(len(crossIDs))]
-						g.noteLink(li, tc.eo)
+						g.noteLink(li)
 						g.Links[li].Up = !g.Links[li].Up
 						shadow.Links[li].Up = g.Links[li].Up
 						crossFlips++
 					}
 				}
-				if g.repairRoutes(tc.eo) {
+				if g.repairRoutes() {
 					repaired++
 				}
-				shadow.recomputeRoutes(tc.eo)
+				shadow.recomputeRoutes()
 				if !reflect.DeepEqual(g.dist, shadow.dist) {
 					t.Fatalf("batch %d: dist diverged\nincremental: %v\nfull BFS:    %v", batch, g.dist, shadow.dist)
 				}
@@ -143,7 +142,7 @@ func TestRunFullRecomputeBitIdentity(t *testing.T) {
 		t.Fatal("fault-heavy scenario exercised no incremental repairs")
 	}
 	full := sc
-	full.FullRecompute = true
+	full.fullRecompute = true
 	ref, err := Run(full)
 	if err != nil {
 		t.Fatal(err)

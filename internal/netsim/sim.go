@@ -43,7 +43,6 @@ func Run(scenario Scenario) (Result, error) {
 		return Result{}, err
 	}
 	fs := newFaultState(sc.Faults, sc.Topology, g, rng)
-	eclipseOutage := sc.Faults.EclipseOutage && sc.Topology.Tech.Optical
 
 	// Sources sit side by side in one slice, since every step walks them
 	// all. srcOf maps a node ID (a segment's flow) to its source; the graph
@@ -115,7 +114,7 @@ func Run(scenario Scenario) (Result, error) {
 		}
 	}
 
-	g.recomputeRoutes(eclipseOutage)
+	g.recomputeRoutes()
 	res.RouteRecomputes++
 
 	steps := int(sc.DurationSec/sc.StepSec + 0.5)
@@ -136,22 +135,22 @@ func Run(scenario Scenario) (Result, error) {
 		// (2) Fault layer: MTBF/MTTR processes and the eclipse sweep. All
 		// of a step's transitions are batched into the graph's pending
 		// usability record before any routing work happens.
-		changed := fs.update(now, g, measure, eclipseOutage)
+		changed := fs.update(now, g, measure)
 
 		// (3) Routing: an epoch boundary always takes the full multi-source
 		// BFS; fault transitions between boundaries take the incremental
-		// repair path (unless the FullRecompute validation knob forces the
-		// full BFS — both paths produce bit-identical tables and Results).
+		// repair path (unless a test's fullRecompute forces the full BFS —
+		// both paths produce bit-identical tables and Results).
 		if epoch {
-			g.recomputeRoutes(eclipseOutage)
+			g.recomputeRoutes()
 			res.RouteRecomputes++
 		} else if changed {
 			res.RouteRecomputes++
 			res.RouteRepairs++
-			if sc.FullRecompute {
-				g.recomputeRoutes(eclipseOutage)
+			if sc.fullRecompute {
+				g.recomputeRoutes()
 			} else {
-				g.repairRoutes(eclipseOutage)
+				g.repairRoutes()
 			}
 		}
 
@@ -205,7 +204,7 @@ func Run(scenario Scenario) (Result, error) {
 				g.busy[li] = false
 				continue
 			}
-			if !g.usable(l, eclipseOutage) {
+			if !g.usable(l) {
 				keptBusy = append(keptBusy, li)
 				continue
 			}
@@ -237,7 +236,7 @@ func Run(scenario Scenario) (Result, error) {
 				qb += g.Links[li].qBits
 			}
 			for _, l := range g.Links {
-				if g.usable(l, eclipseOutage) {
+				if g.usable(l) {
 					stepCap += l.CapacityBps * sc.StepSec
 				}
 			}

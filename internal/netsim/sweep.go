@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"spacedc/internal/obs"
-	"spacedc/internal/pool"
-)
+import "spacedc/internal/pool"
 
 // SweepResult pairs one scenario with its outcome.
 type SweepResult struct {
@@ -26,26 +23,11 @@ type SweepResult struct {
 // token budget as its sibling experiments instead of oversubscribing the
 // machine with a private worker set.
 func Sweep(scenarios []Scenario, workers int) []SweepResult {
-	return SweepObs(scenarios, workers, nil)
-}
-
-// SweepObs is Sweep with per-worker observability: each pool slot records
-// its wall-clock run timings into "netsim.sweep.workerNN.run_secs" and its
-// completed-run count into "netsim.sweep.workerNN.runs", exposing pool
-// imbalance. The registry only times the workers; it is not injected into
-// the scenarios (set Scenario.Obs per scenario for in-run metrics). A nil
-// registry makes SweepObs identical to Sweep.
-func SweepObs(scenarios []Scenario, workers int, reg *obs.Registry) []SweepResult {
 	results := make([]SweepResult, len(scenarios))
-	if len(scenarios) == 0 {
-		return results
-	}
-	sweepSpan := reg.StartSpan("netsim.sweep")
-	pool.MapObs(len(scenarios), workers, reg, "netsim.sweep", func(i int) error {
+	pool.Map(len(scenarios), workers, func(i int) error {
 		r, err := Run(scenarios[i])
 		results[i] = SweepResult{Scenario: scenarios[i], Result: r, Err: err}
 		return nil
 	})
-	sweepSpan.End()
 	return results
 }

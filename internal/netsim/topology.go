@@ -139,81 +139,101 @@ func (ts TopologySpec) geoSinks() int {
 
 // Validate checks the spec's shell stack, so both spec forms get the same
 // per-shell checks, and rejects a spec whose satellites plus sinks exceed
-// MaxDesignNodes before any graph is allocated.
+// MaxDesignNodes before any graph is allocated. It is the one structural
+// check: BuildGraph, Scenario.Validate and the design constructors all
+// return its verdict. Every rejection is a *DesignError; per-shell fields
+// carry a shell[i]. prefix on a stack and none on a one-plane spec.
 func (ts TopologySpec) Validate() error {
-	if ts.Tech.Capacity <= 0 {
-		return fmt.Errorf("netsim: non-positive link capacity %v", ts.Tech.Capacity)
+	if c := float64(ts.Tech.Capacity); !(c > 0) || math.IsInf(c, 1) {
+		return designErrf("link-tech", "capacity %v is not positive and finite", ts.Tech.Capacity)
 	}
-	if ts.QueueSec < 0 {
-		return fmt.Errorf("netsim: negative queue depth %v s", ts.QueueSec)
+	if !(ts.QueueSec >= 0) || math.IsInf(ts.QueueSec, 1) {
+		return designErrf("queue", "depth %v s is not finite and non-negative", ts.QueueSec)
 	}
 	switch ts.Kind {
 	case ClusterTopology:
 	case GEOStarTopology:
 		if ts.GEOSinks < 0 {
-			return fmt.Errorf("netsim: negative GEO sink count %d", ts.GEOSinks)
+			return designErrf("topology", "negative GEO sink count %d", ts.GEOSinks)
 		}
 	default:
-		return fmt.Errorf("netsim: unknown topology kind %d", ts.Kind)
+		return designErrf("topology", "unknown kind %d", ts.Kind)
 	}
 	if len(ts.Shells) > 0 {
 		if ts.Kind != ClusterTopology {
-			return fmt.Errorf("netsim: multi-shell stacks are cluster-kind; kind %d cannot carry shells", ts.Kind)
+			return designErrf("shells", "multi-shell stacks are cluster-kind; kind %d cannot carry shells", ts.Kind)
 		}
 		if ts.Sats != 0 || ts.GEOSinks != 0 || ts.LowAltKm != 0 {
-			return fmt.Errorf("netsim: spec sets both Shells and one-plane fields (sats=%d, geoSinks=%d, lowAltKm=%v)",
+			return designErrf("shells", "spec sets both Shells and one-plane fields (sats=%d, geoSinks=%d, lowAltKm=%v)",
 				ts.Sats, ts.GEOSinks, ts.LowAltKm)
 		}
 	}
 	shells := ts.stack()
 	if len(ts.InterShell) != len(shells)-1 {
-		return fmt.Errorf("netsim: %d shells need %d inter-shell rules, got %d",
+		return designErrf("inter-shell", "%d shells need %d rules, got %d",
 			len(shells), len(shells)-1, len(ts.InterShell))
 	}
 	nodes := 0
 	for i, sh := range shells {
-		if sh.Sats <= 0 {
-			return fmt.Errorf("netsim: shell %d: non-positive satellite count %d", i, sh.Sats)
+		if sh.Sats < 1 {
+			return designErrf(ts.shellField(i, "sats-per-plane"), "need ≥ 1, got %d", sh.Sats)
 		}
 		// Bound the shell before adding it, so adversarial counts cannot
 		// overflow the sum; a shell never has more sinks than satellites.
-		if sh.Sats > MaxDesignNodes-nodes {
-			return fmt.Errorf("netsim: shell %d: %d satellites exceed the %d-node ceiling", i, sh.Sats, MaxDesignNodes)
+		if sh.Sats > MaxDesignNodes {
+			return designErrf(ts.shellField(i, "sats-per-plane"),
+				"%d exceeds the %d-node design ceiling", sh.Sats, MaxDesignNodes)
 		}
 		if !(sh.AltKm > 0) || sh.AltKm > 100e3 {
-			return fmt.Errorf("netsim: shell %d: altitude must satisfy 0 < alt ≤ 100000 km, got %v", i, sh.AltKm)
+			return designErrf(ts.shellField(i, "altitude"), "need 0 < alt ≤ 100000 km, got %v", sh.AltKm)
 		}
 		if ts.Kind == GEOStarTopology {
 			if sh.AltKm >= orbit.GeostationaryAltitudeKm {
-				return fmt.Errorf("netsim: GEO star EO altitude %v km not below GEO at %v km", sh.AltKm, orbit.GeostationaryAltitudeKm)
+				return designErrf("altitude", "GEO-star design needs alt < %v km, got %v",
+					orbit.GeostationaryAltitudeKm, sh.AltKm)
 			}
 			nodes += sh.Sats + ts.geoSinks()
 		} else {
-			if err := sh.Cluster.Validate(); err != nil {
-				return fmt.Errorf("netsim: shell %d: %w", i, err)
+			cl := sh.Cluster
+			if cl.K < 2 || cl.K%2 != 0 {
+				return designErrf(ts.shellField(i, "isl-budget"),
+					"cluster fabric needs an even receiver fan-in K ≥ 2, got %d (a zero-ISL design ships nothing)", cl.K)
+			}
+			if cl.Split < 1 {
+				return designErrf(ts.shellField(i, "split"), "need ≥ 1 SµDC per plane, got %d", cl.Split)
 			}
 			// Division form: K·Split can overflow for adversarial values.
-			if sh.Cluster.Split > sh.Sats/sh.Cluster.K {
-				return fmt.Errorf("netsim: shell %d: %d sats cannot populate %d sinks × %d receivers",
-					i, sh.Sats, sh.Cluster.Split, sh.Cluster.K)
+			if cl.Split > sh.Sats/cl.K {
+				return designErrf(ts.shellField(i, "sats-per-plane"),
+					"%d satellites cannot populate %d sinks × %d receivers", sh.Sats, cl.Split, cl.K)
 			}
-			nodes += sh.Sats + sh.Cluster.Split
+			nodes += sh.Sats + cl.Split
 		}
 		if nodes > MaxDesignNodes {
-			return fmt.Errorf("netsim: %d satellites and sinks through shell %d exceed the %d-node ceiling", nodes, i, MaxDesignNodes)
+			return designErrf("shells", "%d satellites and sinks through shell %d exceed the %d-node design ceiling",
+				nodes, i, MaxDesignNodes)
 		}
 	}
 	for i, rule := range ts.InterShell {
 		if rule.Kind != InterShellAligned && rule.Kind != InterShellNearest {
-			return fmt.Errorf("netsim: inter-shell rule %d: unknown kind %d", i, int(rule.Kind))
+			return designErrf("inter-shell", "rule %d: unknown kind %d", i, int(rule.Kind))
 		}
 		maxPairs := min(shells[i].Sats, shells[i+1].Sats)
 		if rule.CrossLinks < 0 || rule.CrossLinks > maxPairs {
-			return fmt.Errorf("netsim: inter-shell rule %d: cross-link budget %d outside [0, %d]",
-				i, rule.CrossLinks, maxPairs)
+			return designErrf("cross-links", "budget %d in pair %d–%d outside [0, %d], the smaller shell's satellites",
+				rule.CrossLinks, i, i+1, maxPairs)
 		}
 	}
 	return nil
+}
+
+// shellField names per-shell field f of shell i: bare on a one-plane spec,
+// shell[i].f on a stack.
+func (ts TopologySpec) shellField(i int, f string) string {
+	if len(ts.Shells) == 0 {
+		return f
+	}
+	return fmt.Sprintf("shell[%d].%s", i, f)
 }
 
 // TotalSats returns the EO satellite population summed over the spec's

@@ -196,7 +196,8 @@ type Config struct {
 	// cache hits). Zero means 64.
 	Budget int `json:"budget"`
 	// Restarts is the number of independent hill-climbing chains. Zero
-	// means 4.
+	// means 4. Restarts = Budget spends the whole budget on round zero's
+	// uniform draws: the equal-budget random baseline.
 	Restarts int `json:"restarts"`
 	// StalePatience restarts a chain after this many consecutive rejected
 	// moves. Zero means 3.
@@ -611,92 +612,6 @@ func paretoFront(trace []Candidate) []Candidate {
 		}
 	}
 	return front
-}
-
-// RandomSearch is the equal-budget baseline: Budget independent uniform
-// draws from the space, no locality, same evaluator and caching. The
-// differential suite asserts Search beats its median.
-func RandomSearch(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ev, err := NewEvaluator(cfg.Eval, space)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{}
-	out.Best.Index = -1
-	cache := make(map[string]Score)
-
-	type slot struct {
-		design econ.Design
-		ok     bool
-	}
-	draws := make([]slot, cfg.Budget)
-	for i := range draws {
-		v, ok := randomValid(space, ev, rngFor(cfg.Seed, i))
-		draws[i] = slot{design: space.design(v), ok: ok}
-	}
-	keys := make([]string, cfg.Budget)
-	jobIdx := make(map[string]int)
-	var designs []econ.Design
-	for i, d := range draws {
-		if !d.ok {
-			continue
-		}
-		keys[i] = Key(d.design)
-		if _, ok := jobIdx[keys[i]]; !ok {
-			jobIdx[keys[i]] = len(designs)
-			designs = append(designs, d.design)
-		}
-	}
-	scores := make([]Score, len(designs))
-	if err := pool.Map(len(designs), cfg.Workers, func(id int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s, err := ev.Evaluate(designs[id])
-		if err != nil {
-			return err
-		}
-		scores[id] = s
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i, d := range draws {
-		if !d.ok {
-			continue
-		}
-		k := keys[i]
-		score := scores[jobIdx[k]]
-		_, hit := cache[k]
-		cache[k] = score
-		cand := Candidate{Index: i, Design: d.design, Score: score, Restart: true, Cached: hit}
-		out.Proposals++
-		if hit {
-			out.CacheHits++
-		} else {
-			out.Evaluated++
-		}
-		if !score.Feasible {
-			out.Infeasible++
-		} else if out.Best.Index < 0 || score.Objective > out.Best.Score.Objective {
-			cand.Accepted = true
-			out.Best = cand
-			out.Accepted++
-		} else {
-			out.Rejected++
-		}
-		out.Trace = append(out.Trace, cand)
-	}
-	if out.Best.Index < 0 {
-		return nil, fmt.Errorf("optimize: no feasible candidate in %d random draws", out.Proposals)
-	}
-	out.Pareto = paretoFront(out.Trace)
-	out.record(cfg.Obs)
-	return out, nil
 }
 
 // Exhaustive evaluates every structurally valid design in the space in

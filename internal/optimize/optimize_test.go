@@ -70,35 +70,27 @@ func TestOptimizeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRandomAndExhaustiveBitIdentity extends the worker-independence
-// contract to the two reference searchers.
-func TestRandomAndExhaustiveBitIdentity(t *testing.T) {
+// TestExhaustiveBitIdentity extends the worker-independence contract to
+// the exhaustive oracle. The random baseline is Search's restart round, so
+// TestOptimizeBitIdentity covers it.
+func TestExhaustiveBitIdentity(t *testing.T) {
 	sub := testSpace()
 	sub.SatsPerPlane = []int{8, 16}
 	sub.AltitudesKm = []float64{550}
 	sub.Devices = []int{1}
-	for name, run := range map[string]func(Config) (*Outcome, error){
-		"random": func(cfg Config) (*Outcome, error) {
-			return RandomSearch(context.Background(), cfg, sub)
-		},
-		"exhaustive": func(cfg Config) (*Outcome, error) {
-			return Exhaustive(context.Background(), cfg, sub)
-		},
-	} {
-		cfg := Config{Seed: 7, Budget: 12, Eval: testEval()}
-		cfg.Workers = 1
-		a, err := run(cfg)
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		cfg.Workers = 8
-		b, err := run(cfg)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", name, err)
-		}
-		if renderAll(t, a) != renderAll(t, b) {
-			t.Fatalf("%s output differs between worker counts", name)
-		}
+	cfg := Config{Seed: 7, Budget: 12, Eval: testEval()}
+	cfg.Workers = 1
+	a, err := Exhaustive(context.Background(), cfg, sub)
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	cfg.Workers = 8
+	b, err := Exhaustive(context.Background(), cfg, sub)
+	if err != nil {
+		t.Fatalf("parallel: %v", err)
+	}
+	if renderAll(t, a) != renderAll(t, b) {
+		t.Fatal("exhaustive output differs between worker counts")
 	}
 }
 
@@ -106,7 +98,8 @@ func TestRandomAndExhaustiveBitIdentity(t *testing.T) {
 // fixed test space the heuristic must (a) reach the exhaustive optimum of
 // a seeded product subspace, and (b) beat the median best of five
 // pure-random sweeps with the same proposal budget — the guard against
-// the search degenerating into random sampling.
+// the search degenerating into random sampling. A sweep is Search with one
+// chain per proposal, so its whole trace is round zero's fresh draws.
 func TestHeuristicBeatsRandomSweep(t *testing.T) {
 	space := testSpace()
 	const budget = 48
@@ -133,9 +126,14 @@ func TestHeuristicBeatsRandomSweep(t *testing.T) {
 
 	var randBests []float64
 	for seed := int64(1); seed <= 5; seed++ {
-		r, err := RandomSearch(context.Background(), Config{Seed: seed, Budget: budget, Eval: testEval()}, space)
+		r, err := Search(context.Background(), Config{Seed: seed, Budget: budget, Restarts: budget, Eval: testEval()}, space)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, c := range r.Trace {
+			if !c.Restart || c.Chain != c.Index {
+				t.Fatalf("seed %d: sweep proposal %+v is not chain %d's round-zero draw", seed, c, c.Index)
+			}
 		}
 		randBests = append(randBests, r.Best.Score.Objective)
 	}

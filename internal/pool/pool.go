@@ -1,6 +1,6 @@
 // Package pool is the shared deterministic worker pool underneath every
 // fan-out in the repo: the experiment sweep (experiments.RunWorkers),
-// the netsim scenario sweep (netsim.SweepObs), and the experiment drivers
+// the netsim scenario sweep (netsim.Sweep), and the experiment drivers
 // that decompose their internal grids into sub-jobs (ext-netsim, ext-lossy,
 // table4). One global token budget bounds concurrency across all of them,
 // so a sweep nested inside a pooled experiment adds parallelism only while

@@ -333,7 +333,7 @@ type engine struct {
 	retries      retryHeap
 	busyUntil    float64
 	taken        []int // batch-formation scratch, reused across launches
-	pops         []int // class-blind network-service scratch
+	pops         []int // network-service scratch: heads granted per class
 
 	hazard      float64 // current campaign SEU rate
 	svcPerFrame float64 // EWMA of batch seconds per frame (backlog estimate)
@@ -726,54 +726,14 @@ func (e *engine) backlogSec(netFactor float64) float64 {
 	return e.netQBits/c + float64(e.compFrames)*e.svcPerFrame
 }
 
-// serveNetwork drains the transfer queues in strict priority order with
-// this step's bit budget and moves completed transfers into the per-class
-// compute queues. Class-blind policies serve the oldest waiter instead.
+// serveNetwork drains the transfer queues with this step's bit budget and
+// moves completed transfers into the per-class compute queues. Each grant
+// goes to the head of the highest-priority non-empty class; class-blind
+// policies grant the longest-waiting head instead, ties to the higher
+// priority, the way a shared FIFO would serve with no notion of priority.
+// The queues are compacted and the bit tallies clamped once, after the
+// loop: deliver never reads them.
 func (e *engine) serveNetwork(stepEnd, budget float64) {
-	if e.sc.Policy.ClassBlind {
-		e.serveNetworkBlind(stepEnd, budget)
-		return
-	}
-	for cls := range e.netQ {
-		if budget <= 0 {
-			break
-		}
-		q := e.netQ[cls]
-		popped := 0
-		for popped < len(q) && budget > 0 {
-			it := &q[popped]
-			if it.bits > budget {
-				it.bits -= budget
-				e.netQBits -= budget
-				e.netBits[cls] -= budget
-				budget = 0
-				break
-			}
-			budget -= it.bits
-			e.netQBits -= it.bits
-			e.netBits[cls] -= it.bits
-			it.bits = 0
-			it.ready = stepEnd
-			e.deliver(stepEnd, *it)
-			popped++
-		}
-		if popped > 0 {
-			n := copy(q, q[popped:])
-			e.netQ[cls] = q[:n]
-		}
-		if e.netBits[cls] < 0 {
-			e.netBits[cls] = 0
-		}
-	}
-	if e.netQBits < 0 {
-		e.netQBits = 0
-	}
-}
-
-// serveNetworkBlind drains the transfer queues in arrival order across
-// classes: each grant goes to the longest-waiting head, the way a shared
-// FIFO would serve with no notion of priority.
-func (e *engine) serveNetworkBlind(stepEnd, budget float64) {
 	pops := e.pops
 	for i := range pops {
 		pops[i] = 0
@@ -782,7 +742,14 @@ func (e *engine) serveNetworkBlind(stepEnd, budget float64) {
 		best, bestArr := -1, math.Inf(1)
 		for cls := range e.netQ {
 			q := e.netQ[cls]
-			if pops[cls] < len(q) && q[pops[cls]].arrival < bestArr {
+			if pops[cls] == len(q) {
+				continue
+			}
+			if !e.sc.Policy.ClassBlind {
+				best = cls
+				break
+			}
+			if q[pops[cls]].arrival < bestArr {
 				best, bestArr = cls, q[pops[cls]].arrival
 			}
 		}
