@@ -28,7 +28,7 @@ func pinDigest(v any) string {
 // pinScenarios is the scenario set behind TestNetsimOutputsPinned: every
 // optimizer topology family at the evaluator's load and step, with and
 // without link outage, plus the fault regimes, the constellation-scale
-// grid and a shell stack.
+// grid, a shell stack and the event scenarios.
 func pinScenarios(t *testing.T) []Scenario {
 	t.Helper()
 	var scs []Scenario
@@ -92,7 +92,80 @@ func pinScenarios(t *testing.T) []Scenario {
 		},
 		Seed: 9,
 	}
-	return append(scs, rfOutage, rfSats, eclipse, grid, stack)
+	scs = append(scs, rfOutage, rfSats, eclipse, grid, stack)
+	return append(scs, eventScenarios(t)...)
+}
+
+// eventScenarios are the pins for the event-driven step: shadow arcs
+// whose edges pass several satellites per step, eclipses in several
+// shells and on a GEO star, and sources whose credit carries across
+// satellite failures or grows by a fractional number of bits a step.
+// Two SµDCs per plane keep one sink out of the shadow arc.
+func eventScenarios(t *testing.T) []Scenario {
+	t.Helper()
+	// 300 satellites at a 40 s step over one 550 km orbit: each arc edge
+	// passes about two satellites a step. The long RTO keeps multi-step
+	// hops from timing out.
+	grid := Scenario{
+		Name: "eclipse-grid-coarse",
+		Topology: TopologySpec{
+			Kind: ClusterTopology, Sats: 300, Cluster: isl.Topology{K: 4, Split: 2}, Tech: isl.Optical10G,
+		},
+		PerSat:    units.Mbps / 10,
+		Faults:    FaultConfig{EclipseOutage: true},
+		Transport: TransportConfig{RTOSec: 600},
+		StepSec:   40, EpochSec: 400, DurationSec: 5760, WarmupSec: 400,
+		Seed: 3,
+	}
+
+	stack, err := DesignShells([]ShellSpec{
+		{Sats: 40, Cluster: isl.Topology{K: 4, Split: 2}, AltKm: 550},
+		{Sats: 48, Cluster: isl.Topology{K: 4, Split: 2}, AltKm: 900},
+		{Sats: 56, Cluster: isl.Topology{K: 6, Split: 2}, AltKm: 1300},
+	}, InterShellNearest, 8, isl.Optical10G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack3 := Scenario{
+		Name:     "3shell-eclipse-sat-failures",
+		Topology: stack,
+		PerSat:   5 * units.Mbps,
+		Faults:   FaultConfig{EclipseOutage: true, SatMTBFSec: 300, SatMTTRSec: 60},
+		StepSec:  0.5, EpochSec: 60, DurationSec: 600, WarmupSec: 60,
+		Seed: 5,
+	}
+
+	geo, err := DesignTopology(1, 120, 550, 0, 0, 3, isl.Optical10G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geoEcl := Scenario{
+		Name:     "geo3-eclipse",
+		Topology: geo,
+		PerSat:   units.Mbps,
+		Faults:   FaultConfig{EclipseOutage: true, LinkOutage: 0.02, LinkMTTRSec: 20},
+		StepSec:  5, EpochSec: 600, DurationSec: 5760, WarmupSec: 300,
+		Seed: 11,
+	}
+
+	// One 1e6-bit segment per 100 steps, so most emissions are due after
+	// a down period.
+	lowRate := ringScenario(8)
+	lowRate.Name = "ring-low-rate-sat-failures"
+	lowRate.PerSat = units.Mbps / 10
+	lowRate.Faults = FaultConfig{SatMTBFSec: 40, SatMTTRSec: 25}
+	lowRate.DurationSec, lowRate.WarmupSec = 600, 30
+
+	// 3.3 Mbit/s × 0.07 s is not a whole number of bits.
+	frac := ringScenario(12)
+	frac.Name = "ring-fractional-credit"
+	frac.PerSat = 3.3 * units.Mbps
+	frac.SegmentBits = 1234567
+	frac.StepSec = 0.07
+	frac.Faults = FaultConfig{LinkOutage: 0.05, LinkMTTRSec: 5, SatMTBFSec: 30, SatMTTRSec: 10}
+	frac.DurationSec, frac.WarmupSec = 120, 10
+
+	return []Scenario{grid, stack3, geoEcl, lowRate, frac}
 }
 
 // pinnedNetsim holds, per scenario, the digest of the bare Result and of
@@ -141,13 +214,21 @@ var pinnedNetsim = map[string][2]string{
 	"k4x2-eclipse":         {"ee9ef54e372c4dd364dbfa60e8c84469a31522f2999d09b72b69aa733bf5838f", "4cf54bb50a36a5d549e8861579932aa2423b46d3747b9505dac13bbaf8680d1f"},
 	"big-grid":             {"e6b51b51ff4689d8be127b6b7b9a8b9bd12b68128d94dc913e634800540c73f2", "70943adb87182695e813c70ba235b0dd4ccaac7713e6b55a2d8bba03dc1ae3c4"},
 	"2shell-nearest":       {"2cf10e2fcc919f4eec1d7789965886253867b252c69627a98fad2e1c63730387", "9a50bf778d8cb3c3d6d5e83b80403e5b592865797f135c1d71db3b0569ef6f53"},
+
+	"eclipse-grid-coarse":         {"3f09c7c54f5ca7827581759cdf2a0c66af084b28e53a1c48f06d9900343aee9f", "d660b4586b77194ab475c1c046ecd33753661b755c0aeb2cee89d5018b2033ad"},
+	"3shell-eclipse-sat-failures": {"0eb660512743399470c37d74ce9d9e1f6dfca79148467d4215e162962e761744", "49e072e19036a5ca8c0104aee78509d9e3a2bda9cea2892bc953490979546800"},
+	"geo3-eclipse":                {"78066d1f0a5c9c5430c6bcb933b4dd331d5b64a35fde896da49cdaf0ff0d71ed", "4d118381a3a0088d2a459437bf086b6419ef876a79652690ef1fd67dc5f7cd92"},
+	"ring-low-rate-sat-failures":  {"d265a70abdc8f7877bbd8055fc1d84995cac116bbf5a9360dd914762a8ce6d88", "d347f35292165d7ff53162acd2f5b605aaf546e2d9be2f2874a24d2595e6007f"},
+	"ring-fractional-credit":      {"38f62f1d24fdb1ee3e082f35c96537540e254f601c147aae25d7bab5a2a34b09", "624bb363b6e557a04decf36defb9a714d45634a5ca6c6b0e502ff04fbc255750"},
 }
 
 // TestNetsimOutputsPinned compares every pin scenario's Result, bare and
 // instrumented, with recorded digests. They were first recorded before the
 // segment-run engine, then re-recorded once, when the two epoch-rebuild
 // fields left Result, after every rendering matched the previous one with
-// those fields cut out. A refactor that shifts every run the same way
+// those fields cut out. The event scenarios' digests were recorded on the
+// engine that still rescanned the shadow arc and walked every source each
+// step. A refactor that shifts every run the same way
 // passes the repeat and worker-count determinism tests; it cannot pass
 // this one.
 func TestNetsimOutputsPinned(t *testing.T) {
