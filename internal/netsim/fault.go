@@ -28,7 +28,12 @@ type FaultConfig struct {
 	SatMTTRSec float64
 	// EclipseOutage drops optical links while either endpoint satellite
 	// is inside the Earth-shadow arc that sweeps the plane once per
-	// orbit — the pointing-loss-from-thermal-snap regime.
+	// orbit — the pointing-loss-from-thermal-snap regime. SµDCs in the
+	// plane are shadowed too, and a plane's first SµDC sits at phase 0,
+	// where the arc starts at t = 0: a one-sink optical plane delivers
+	// nothing until the arc has passed it, at the eclipse fraction times
+	// the orbital period (2,143 s at 550 km). Runs shorter than that need
+	// two SµDCs per plane to measure the fabric rather than the arc.
 	EclipseOutage bool
 }
 
@@ -79,17 +84,15 @@ type faultState struct {
 	// eclipse sweep geometry, indexed by shell: the fraction of each
 	// shell's plane in shadow and the period of one sweep. Single-shell
 	// specs get one entry; specs without an eclipse regime on optical
-	// terminals get none. anyEclipse is false when every fraction is 0,
-	// disabling the sweep.
+	// terminals get none.
 	eclipseFrac []float64
 	periodSec   []float64
-	anyEclipse  bool
-	// nextEclipse is the earliest time any node can cross the shadow-arc
-	// boundary, derived in closed form from the sweep geometry on every
-	// scan. updateEclipse skips its O(nodes) phase scan entirely until
-	// then, making the sweep event-driven; its initial zero forces the
-	// first scan.
-	nextEclipse float64
+	// arcs tracks the shadowed nodes of every shell with a shadow arc, so
+	// a step's eclipse sweep costs the nodes that cross the arc's edges
+	// and a few binary searches, not a scan of every node.
+	arcs []shadowArc
+	// arcEdges is the scratch the sweep computes an arc's new edges in.
+	arcEdges []int
 	// Events counts state transitions (for the run report).
 	Events int
 
@@ -103,17 +106,36 @@ type faultState struct {
 	linkClock flipHeap
 	nodeClock flipHeap
 	due       []int
+	// flipped lists, in ascending ID order, the satellites whose Up the
+	// last update changed: the sources whose generation stops or resumes.
+	flipped []int
 }
 
-// flipEntry is one fault process in a flipHeap: the entity's ID and its
-// next transition time.
+// shadowArc is one shell's share of the eclipse sweep. The nodes lo..hi-1
+// hold consecutive IDs with non-decreasing phase offsets posFrac, so at a
+// given time t their values t/P + posFrac do not decrease with the ID
+// either. Their phases frac(t/P + posFrac) then rise with the ID except
+// where the integer part steps up, which happens at most twice, and the
+// nodes whose phase lies inside [0, eclipseFrac) form a prefix of each
+// stretch between steps. edges lists the eclipsed set as ascending toggle
+// points: a node is eclipsed when an odd number of edges are at or below
+// its ID.
+type shadowArc struct {
+	shell  int
+	lo, hi int
+	edges  []int
+}
+
+// flipEntry is one clock in a flipHeap: an ID and the time it is next
+// due.
 type flipEntry struct {
 	t  float64
 	id int
 }
 
-// flipHeap is a binary min-heap of fault clocks ordered by transition
-// time (ties by ID, for a deterministic pop order).
+// flipHeap is a binary min-heap of clocks ordered by due time (ties by
+// ID, for a deterministic pop order): the fault processes' transitions,
+// and the sources' emissions and timers by step.
 type flipHeap []flipEntry
 
 func (h flipHeap) less(i, j int) bool {
@@ -173,19 +195,32 @@ func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *
 			frac, period := eclipseFractionAt(sh.AltKm)
 			fs.eclipseFrac = append(fs.eclipseFrac, frac)
 			fs.periodSec = append(fs.periodSec, period)
-			if frac > 0 {
-				fs.anyEclipse = true
+		}
+		// Builders lay each shell's nodes in phase order, so a shell is
+		// one arc; a node out of that order would open a new one.
+		for i := range g.nodes {
+			n := &g.nodes[i]
+			if n.geo || fs.eclipseFrac[n.shell] <= 0 {
+				continue
 			}
+			k := len(fs.arcs) - 1
+			if k < 0 || fs.arcs[k].shell != n.shell || fs.arcs[k].hi != i || n.posFrac < g.nodes[i-1].posFrac {
+				fs.arcs = append(fs.arcs, shadowArc{shell: n.shell, lo: i})
+				k++
+			}
+			fs.arcs[k].hi = i + 1
 		}
 	}
 	if cfg.LinkOutage > 0 {
 		mtbf := cfg.linkMTBF()
+		fs.linkClock = make(flipHeap, 0, len(g.Links))
 		for _, l := range g.Links {
 			l.nextFlip = expSample(rng, mtbf)
 			fs.linkClock.push(flipEntry{t: l.nextFlip, id: l.ID})
 		}
 	}
 	if cfg.SatMTBFSec > 0 {
+		fs.nodeClock = make(flipHeap, 0, len(g.Sources))
 		for _, s := range g.Sources {
 			n := &g.nodes[s]
 			n.nextFlip = expSample(rng, cfg.SatMTBFSec)
@@ -196,7 +231,8 @@ func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *
 }
 
 // update advances every fault process to time t and returns whether any
-// link or node changed state (the routing table must then be updated). All
+// link or node changed state (the routing table must then be updated). It
+// lists in flipped the satellites whose Up it changed. All
 // transitions of a step — link flips, satellite flips, and the eclipse
 // sweep — are applied as one batch: each mutation first records the
 // affected links' pre-batch usability into the graph's pending batch
@@ -207,6 +243,7 @@ func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *
 // measurement window.
 func (fs *faultState) update(t float64, g *Graph, measure bool) bool {
 	changed := false
+	fs.flipped = fs.flipped[:0]
 	if fs.cfg.LinkOutage > 0 {
 		fs.due = fs.linkClock.popDue(t, fs.due[:0])
 		sort.Ints(fs.due)
@@ -233,6 +270,7 @@ func (fs *faultState) update(t float64, g *Graph, measure bool) bool {
 		for _, s := range fs.due {
 			n := &g.nodes[s]
 			g.noteNode(s)
+			wasUp := n.Up
 			for t >= n.nextFlip {
 				n.Up = !n.Up
 				fs.Events++
@@ -246,10 +284,13 @@ func (fs *faultState) update(t float64, g *Graph, measure bool) bool {
 					}
 				}
 			}
+			if n.Up != wasUp {
+				fs.flipped = append(fs.flipped, s)
+			}
 			fs.nodeClock.push(flipEntry{t: n.nextFlip, id: s})
 		}
 	}
-	if fs.anyEclipse {
+	if len(fs.arcs) > 0 {
 		changed = fs.updateEclipse(t, g) || changed
 	}
 	return changed
@@ -258,43 +299,63 @@ func (fs *faultState) update(t float64, g *Graph, measure bool) bool {
 // updateEclipse moves the shadow arc: satellite p is eclipsed while its
 // orbital phase frac(t/P + posFrac) lies inside [0, eclipseFrac), with P
 // and the fraction taken from the node's own shell — each shell's arc
-// sweeps at its own orbital rate. Each scan also computes, per node, the
-// time of its next boundary crossing (entry at phase 1→0, exit at phase
-// eclipseFrac) and records the minimum, so the steps between crossings —
-// the overwhelming majority at a 0.1 s resolution against a ~95-minute
-// sweep — skip the scan in O(1).
+// sweeps at its own orbital rate. Each arc's new edges come from binary
+// searches on that predicate, and only the nodes between an old edge and
+// its new position flip, in ascending ID order, so the pending batch and
+// the events follow node order.
 func (fs *faultState) updateEclipse(t float64, g *Graph) bool {
-	if t < fs.nextEclipse {
-		return false
-	}
 	changed := false
-	next := math.Inf(1)
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if n.geo || n.shell >= len(fs.eclipseFrac) {
-			continue
+	for a := range fs.arcs {
+		arc := &fs.arcs[a]
+		edges := fs.arcEdges[:0]
+		x := t / fs.periodSec[arc.shell]
+		frac := fs.eclipseFrac[arc.shell]
+		for lo := arc.lo; lo < arc.hi; {
+			// The stretch [lo, end) shares lo's integer part of t/P + posFrac.
+			whole := math.Floor(x + g.nodes[lo].posFrac)
+			end := lo + sort.Search(arc.hi-lo, func(j int) bool {
+				return math.Floor(x+g.nodes[lo+j].posFrac) > whole
+			})
+			in := lo + sort.Search(end-lo, func(j int) bool {
+				return !(math.Mod(x+g.nodes[lo+j].posFrac, 1) < frac)
+			})
+			if in > lo {
+				edges = append(edges, lo, in)
+			}
+			lo = end
 		}
-		frac, period := fs.eclipseFrac[n.shell], fs.periodSec[n.shell]
-		if frac <= 0 {
-			continue
+		// Merging the old and new edges yields the toggle points of the
+		// nodes whose flag differs; an edge in both lists cancels.
+		old := arc.edges
+		from, odd := 0, false
+		for i, j := 0, 0; i < len(old) || j < len(edges); {
+			var at int
+			switch {
+			case j == len(edges) || (i < len(old) && old[i] < edges[j]):
+				at = old[i]
+				i++
+			case i == len(old) || edges[j] < old[i]:
+				at = edges[j]
+				j++
+			default:
+				i++
+				j++
+				continue
+			}
+			if odd {
+				for id := from; id < at; id++ {
+					n := &g.nodes[id]
+					g.noteNode(id)
+					n.eclipsed = !n.eclipsed
+					fs.Events++
+					changed = true
+				}
+			}
+			from, odd = at, !odd
 		}
-		phase := math.Mod(t/period+n.posFrac, 1)
-		ecl := phase < frac
-		if ecl != n.eclipsed {
-			g.noteNode(i)
-			n.eclipsed = ecl
-			fs.Events++
-			changed = true
-		}
-		boundary := 1.0
-		if ecl {
-			boundary = frac
-		}
-		if flip := t + (boundary-phase)*period; flip < next {
-			next = flip
-		}
+		arc.edges = append(old[:0], edges...)
+		fs.arcEdges = edges
 	}
-	fs.nextEclipse = next
 	return changed
 }
 

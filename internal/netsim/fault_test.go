@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spacedc/internal/isl"
@@ -186,4 +187,121 @@ func TestFaultConfigValidate(t *testing.T) {
 			t.Errorf("bad fault config %d accepted", i)
 		}
 	}
+}
+
+// refEclipse runs the eclipse sweep that scanned every node, with the
+// crossing bound that let it skip the steps before the earliest boundary
+// crossing: the oracle for updateEclipse's edge-tracked arcs.
+type refEclipse struct {
+	*faultState
+	nextEclipse float64
+}
+
+func (fs *refEclipse) refUpdateEclipse(t float64, g *Graph) bool {
+	if t < fs.nextEclipse {
+		return false
+	}
+	changed := false
+	next := math.Inf(1)
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		if n.geo || n.shell >= len(fs.eclipseFrac) {
+			continue
+		}
+		frac, period := fs.eclipseFrac[n.shell], fs.periodSec[n.shell]
+		if frac <= 0 {
+			continue
+		}
+		phase := math.Mod(t/period+n.posFrac, 1)
+		ecl := phase < frac
+		if ecl != n.eclipsed {
+			g.noteNode(i)
+			n.eclipsed = ecl
+			fs.Events++
+			changed = true
+		}
+		boundary := 1.0
+		if ecl {
+			boundary = frac
+		}
+		if flip := t + (boundary-phase)*period; flip < next {
+			next = flip
+		}
+	}
+	fs.nextEclipse = next
+	return changed
+}
+
+// eclipseSpec draws a topology from rng: a GEO star when shells is 0,
+// else a stack of that many cluster shells, each of 2–5,000 satellites at
+// 300–2,000 km with K and Split drawn from their valid ranges.
+func eclipseSpec(rng *rand.Rand, shells int) TopologySpec {
+	alt := func() float64 { return 300 + 1700*rng.Float64() }
+	if shells == 0 {
+		return TopologySpec{
+			Kind: GEOStarTopology, Sats: 1 + rng.Intn(5000), GEOSinks: rng.Intn(4),
+			LowAltKm: alt(), Tech: isl.Optical10G,
+		}
+	}
+	ts := TopologySpec{Kind: ClusterTopology, Tech: isl.Optical10G}
+	for i := range shells {
+		sats := 2 + rng.Intn(4999)
+		k := 2 * (1 + rng.Intn(min(sats/2, 8)))
+		split := 1 + rng.Intn(sats/k)
+		ts.Shells = append(ts.Shells, ShellSpec{Sats: sats, Cluster: isl.Topology{K: k, Split: split}, AltKm: alt()})
+		if i > 0 {
+			ts.InterShell = append(ts.InterShell, InterShellRule{Kind: InterShellKind(rng.Intn(2)), CrossLinks: rng.Intn(4)})
+		}
+	}
+	return ts
+}
+
+// FuzzEclipseSweep steps updateEclipse and the full scan it replaced side
+// by side over random GEO stars and 1–3-shell stacks, at steps from 0.01
+// to 2,000 s starting anywhere in a run: every step, every node's eclipse
+// flag, the event count, the returned change and the pending batch of
+// noted links must match.
+func FuzzEclipseSweep(f *testing.F) {
+	f.Add(int64(1), uint8(1), 0.1, uint32(0))      // one shell at the mega-storm step
+	f.Add(int64(2), uint8(3), 0.7, uint32(4000))   // three shells at a coarse step
+	f.Add(int64(3), uint8(0), 30.0, uint32(0))     // a GEO star
+	f.Add(int64(4), uint8(2), 2000.0, uint32(7))   // steps longer than the arc
+	f.Add(int64(5), uint8(1), 0.01, uint32(1<<31)) // a fine step far into a run
+	f.Fuzz(func(t *testing.T, seed int64, shells uint8, dt float64, start uint32) {
+		if dt = math.Abs(dt); !(dt < math.MaxFloat64) {
+			dt = 1
+		}
+		dt = 0.01 + math.Mod(dt, 2000)
+		rng := rand.New(rand.NewSource(seed))
+		ts := eclipseSpec(rng, int(shells%4))
+		g, err := BuildGraph(ts)
+		if err != nil {
+			t.Fatalf("spec %+v: %v", ts, err)
+		}
+		ref, err := BuildGraph(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := FaultConfig{EclipseOutage: true}
+		fs := newFaultState(cfg, ts, g, rng)
+		rfs := &refEclipse{faultState: newFaultState(cfg, ts, ref, rng)}
+		last := int(start) + 40 + rng.Intn(200)
+		for step := int(start) + 1; step <= last; step++ {
+			now := float64(step) * dt
+			changed := fs.updateEclipse(now, g)
+			refChanged := rfs.refUpdateEclipse(now, ref)
+			if changed != refChanged || fs.Events != rfs.Events ||
+				!slices.Equal(g.notedIDs, ref.notedIDs) || !slices.Equal(g.notedWas, ref.notedWas) {
+				t.Fatalf("step %d (t=%v): changed %v, %d events, noted %v; scan %v, %d, %v",
+					step, now, changed, fs.Events, g.notedIDs, refChanged, rfs.Events, ref.notedIDs)
+			}
+			for i := range g.nodes {
+				if g.nodes[i].eclipsed != ref.nodes[i].eclipsed {
+					t.Fatalf("step %d (t=%v): node %d eclipsed %v, scan %v", step, now, i, g.nodes[i].eclipsed, ref.nodes[i].eclipsed)
+				}
+			}
+			g.clearPending()
+			ref.clearPending()
+		}
+	})
 }

@@ -1,8 +1,8 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // node is the dynamic state of one spacecraft.
@@ -17,6 +17,8 @@ type node struct {
 	posFrac float64
 	// geo marks GEO sinks, which the LEO eclipse sweep never shadows.
 	geo bool
+	// sink marks SµDCs, the nodes listed in Graph.Sinks.
+	sink bool
 	// shell indexes the node's shell in a multi-shell stack (0 in
 	// single-shell graphs), selecting its eclipse geometry.
 	shell int
@@ -158,14 +160,7 @@ func (g *Graph) usable(l *Link) bool {
 func (g *Graph) CrossShellLinks() int { return g.crossShell }
 
 // isSink reports whether node id is a SµDC.
-func (g *Graph) isSink(id int) bool {
-	for _, s := range g.Sinks {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) isSink(id int) bool { return g.nodes[id].sink }
 
 // recomputeRoutes rebuilds the shortest-path routing table by multi-source
 // BFS from every live sink over the currently usable links. Unreachable
@@ -496,14 +491,23 @@ func (g *Graph) repairRoutes() bool {
 	return true
 }
 
-// linkName renders a link for reports.
-func (g *Graph) linkName(l *Link) string {
-	from, to := fmt.Sprintf("sat%d", l.From), fmt.Sprintf("sat%d", l.To)
-	if g.isSink(l.From) {
-		from = fmt.Sprintf("sudc%d", l.From)
+// linkNameMax bounds the bytes of one link name: two "sudc" endpoints of
+// up to 20 digits around the 3-byte arrow.
+const linkNameMax = 2*(len("sudc")+20) + len("→")
+
+// appendLinkName appends a link's report name, "sat3→sudc0", to b.
+func (g *Graph) appendLinkName(b []byte, l *Link) []byte {
+	b = g.appendNodeName(b, l.From)
+	b = append(b, "→"...)
+	return g.appendNodeName(b, l.To)
+}
+
+// appendNodeName appends "sat<id>" or, for a SµDC, "sudc<id>" to b.
+func (g *Graph) appendNodeName(b []byte, id int) []byte {
+	if g.isSink(id) {
+		b = append(b, "sudc"...)
+	} else {
+		b = append(b, "sat"...)
 	}
-	if g.isSink(l.To) {
-		to = fmt.Sprintf("sudc%d", l.To)
-	}
-	return from + "→" + to
+	return strconv.AppendInt(b, int64(id), 10)
 }

@@ -232,7 +232,7 @@ func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 	cfg := TransportConfig{RTOSec: 1, Backoff: 2, MaxAttempts: 1}
 	s := newSource(1, &flowParams{1e6, 1e6, cfg})
 	var emitted []segRun
-	s.generate(0, 2, true, func(run segRun) { emitted = append(emitted, run) })
+	s.refGenerate(0, 2, true, func(run segRun) { emitted = append(emitted, run) })
 	if len(emitted) != 1 || emitted[0].n != 2 {
 		t.Fatalf("generated %+v, want one run of 2 segments", emitted)
 	}
@@ -254,7 +254,7 @@ func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 	// after the window trims past it.
 	s2 := newSource(2, &flowParams{1e6, 1e6, cfg})
 	var runs []segRun
-	s2.generate(0, 1, true, func(run segRun) { runs = append(runs, run) })
+	s2.refGenerate(0, 1, true, func(run segRun) { runs = append(runs, run) })
 	if got := s2.ack(runs[0].seq); got != ackDelivered {
 		t.Fatalf("first delivery classified %v, want ackDelivered", got)
 	}
@@ -267,12 +267,12 @@ func TestLateAfterAbandonIsNotDuplicate(t *testing.T) {
 	// still outstanding (delivered). Only the sequence numbers matter to
 	// the source; the run's birth time is the latency origin.
 	s3 := newSource(3, &flowParams{1e6, 1e6, cfg})
-	s3.generate(0, 2, true, func(segRun) {})
+	s3.refGenerate(0, 2, true, func(segRun) {})
 	s3.ack(2)
 	if _, aband := s3.expire(5, true, func(segRun) {}); aband != 1 {
 		t.Fatalf("expire abandoned %d segments, want 1", aband)
 	}
-	s3.generate(5, 2, true, func(segRun) {})
+	s3.refGenerate(5, 2, true, func(segRun) {})
 	delivered, late, dups := s3.ackRun(segRun{segment{flow: 3, seq: 1, bits: 1e6}, 4})
 	if delivered != 2 || late != 1 || dups != 1 {
 		t.Errorf("mixed run classified %d delivered / %d late / %d duplicate, want 2/1/1", delivered, late, dups)

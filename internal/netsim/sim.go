@@ -44,16 +44,11 @@ func Run(scenario Scenario) (Result, error) {
 	}
 	fs := newFaultState(sc.Faults, sc.Topology, g, rng)
 
-	// Sources sit side by side in one slice, since every step walks them
-	// all. srcOf maps a node ID (a segment's flow) to its source; the graph
-	// is built once per run, so the table never goes stale.
+	// A step visits only the sources with an emission or a timer due; the
+	// graph is built once per run, so their node IDs never go stale.
+	steps := int(sc.DurationSec/sc.StepSec + 0.5)
 	params := &flowParams{rateBps: float64(sc.PerSat), segmentBits: sc.SegmentBits, cfg: sc.Transport}
-	sources := make([]source, len(g.Sources))
-	srcOf := make([]*source, len(g.nodes))
-	for i, id := range g.Sources {
-		sources[i] = newSource(id, params)
-		srcOf[id] = &sources[i]
-	}
+	fl := newFlows(g, g.Sources, params, sc.StepSec, steps)
 
 	res := Result{Name: sc.Name, MeasuredSec: sc.DurationSec - sc.WarmupSec}
 	var (
@@ -92,7 +87,7 @@ func Run(scenario Scenario) (Result, error) {
 			enqueue(a.to, a.run, measure)
 			return
 		}
-		delivered, late, dups := srcOf[a.run.flow].ackRun(a.run)
+		delivered, late, dups := fl.of(a.run.flow).ackRun(a.run)
 		if !measure {
 			return
 		}
@@ -117,7 +112,6 @@ func Run(scenario Scenario) (Result, error) {
 	g.recomputeRoutes()
 	res.RouteRecomputes++
 
-	steps := int(sc.DurationSec/sc.StepSec + 0.5)
 	nextEpoch := sc.EpochSec
 	for step := 1; step <= steps; step++ {
 		now := float64(step) * sc.StepSec
@@ -134,8 +128,12 @@ func Run(scenario Scenario) (Result, error) {
 
 		// (2) Fault layer: MTBF/MTTR processes and the eclipse sweep. All
 		// of a step's transitions are batched into the graph's pending
-		// usability record before any routing work happens.
+		// usability record before any routing work happens. A satellite
+		// that failed or recovered settles its source's credit.
 		changed := fs.update(now, g, measure)
+		for _, id := range fs.flipped {
+			fl.flip(id, step)
+		}
 
 		// (3) Routing: an epoch boundary always takes the full multi-source
 		// BFS; fault transitions between boundaries take the incremental
@@ -165,28 +163,24 @@ func Run(scenario Scenario) (Result, error) {
 		}
 		inflight = kept
 
-		// (5) Sources: quantize generation into segments.
-		for i := range sources {
-			s := &sources[i]
-			n := s.generate(now, sc.StepSec, g.nodes[s.node].Up, func(run segRun) {
-				enqueue(s.node, run, measure)
-			})
+		// (5) Sources: the ones whose credit reaches a whole segment this
+		// step emit it, in source order.
+		fl.generate(step, now, func(run segRun) {
+			enqueue(run.flow, run, measure)
 			if measure {
-				res.OfferedSegs += n
-				offeredBits += float64(n) * sc.SegmentBits
+				res.OfferedSegs += run.n
+				offeredBits += float64(run.n) * sc.SegmentBits
 			}
-		}
+		})
 
-		// (6) Transport timers: retransmit with exponential backoff.
-		for i := range sources {
-			s := &sources[i]
-			retx, aband := s.expire(now, g.nodes[s.node].Up, func(run segRun) {
-				enqueue(s.node, run, measure)
-			})
-			if measure {
-				res.Retransmits += retx
-				res.Abandoned += aband
-			}
+		// (6) Transport timers: the sources with a deadline due retransmit
+		// with exponential backoff, in source order.
+		retx, aband := fl.expire(step, now, func(run segRun) {
+			enqueue(run.flow, run, measure)
+		})
+		if measure {
+			res.Retransmits += retx
+			res.Abandoned += aband
 		}
 
 		// (7) Link service: each busy, usable link drains up to

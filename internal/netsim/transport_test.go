@@ -18,7 +18,7 @@ func TestWindowRetransmitsLiveStretches(t *testing.T) {
 	}
 
 	var runs []segRun
-	if n := s.generate(0, 1, true, collect(&runs)); n != 5 {
+	if n := s.refGenerate(0, 1, true, collect(&runs)); n != 5 {
 		t.Fatalf("generated %d segments, want 5", n)
 	}
 	s.ack(2)
@@ -47,7 +47,7 @@ func TestWindowRetransmitsLiveStretches(t *testing.T) {
 
 	// A second group opens behind the first; a down satellite holds the
 	// first group's timer one RTO out without spending an attempt.
-	s.generate(1, 1, true, func(segRun) {})
+	s.refGenerate(1, 1, true, func(segRun) {})
 	runs = nil
 	if retx, aband := s.expire(3, false, collect(&runs)); retx+aband != 0 || len(runs) != 0 {
 		t.Fatalf("down satellite retransmitted %d, abandoned %d, emitted %v", retx, aband, runs)
@@ -94,7 +94,7 @@ func TestWindowBitmapTrimsAcrossWords(t *testing.T) {
 	s := newSource(1, &flowParams{100e6, 1e6, TransportConfig{RTOSec: 10, Backoff: 2, MaxAttempts: 5}})
 	var runs []segRun
 	for step := 0; step < 3; step++ {
-		s.generate(float64(step), 1, true, func(r segRun) { runs = append(runs, r) })
+		s.refGenerate(float64(step), 1, true, func(r segRun) { runs = append(runs, r) })
 	}
 	// Three groups of 100: seqs 1–100, 101–200, 201–300.
 	if len(s.groups) != 3 || s.seq != 300 {
@@ -136,7 +136,7 @@ func TestWindowBitmapTrimsAcrossWords(t *testing.T) {
 	if len(s.groups) != 0 || len(s.live) != 0 {
 		t.Fatalf("empty window kept %d groups and %d words", len(s.groups), len(s.live))
 	}
-	s.generate(3, 1, true, func(segRun) {})
+	s.refGenerate(3, 1, true, func(segRun) {})
 	if s.bitBase != 301 || !s.isLive(301) || !s.isLive(400) || s.isLive(401) {
 		t.Errorf("restarted window: bitBase %d, live(301)=%v live(400)=%v live(401)=%v",
 			s.bitBase, s.isLive(301), s.isLive(400), s.isLive(401))
