@@ -584,11 +584,11 @@ func BenchmarkAblationDeviceSweep(b *testing.B) {
 	for _, dev := range gpusim.Catalog() {
 		dev := dev
 		b.Run(strings.ReplaceAll(dev.Name, " ", "-"), func(b *testing.B) {
-			s := experiments.SuDCForDevice(dev)
+			s := sudcForDevice(dev)
 			var n int
 			var err error
 			for i := 0; i < b.N; i++ {
-				n, err = experiments.SuDCsAt(apps.FloodDetection, s, 0.3, 0.5)
+				n, err = sudcsAt(apps.FloodDetection, s, 0.3, 0.5)
 				if err != nil {
 					b.Skip("unsupported on this device:", err)
 				}
@@ -596,6 +596,20 @@ func BenchmarkAblationDeviceSweep(b *testing.B) {
 			b.ReportMetric(float64(n), "SµDCs@30cm/50%")
 		})
 	}
+}
+
+// sudcForDevice builds a 4 kW SµDC around any catalog device.
+func sudcForDevice(dev gpusim.Device) core.SuDC {
+	s := core.Default4kW()
+	s.Device = dev
+	s.Name = "SµDC-4kW-" + dev.Name
+	return s
+}
+
+// sudcsAt returns the SµDCs one app needs on the 64-satellite mission.
+func sudcsAt(app apps.ID, s core.SuDC, resM, ed float64) (int, error) {
+	w := core.Workload{App: app, Mission: experiments.Mission64, ResolutionM: resM, EarlyDiscard: ed}
+	return core.SuDCsNeeded(w, s)
 }
 
 // BenchmarkAblationHardeningSweep isolates the hardening-overhead design
@@ -609,7 +623,7 @@ func BenchmarkAblationHardeningSweep(b *testing.B) {
 			var n int
 			var err error
 			for i := 0; i < b.N; i++ {
-				n, err = experiments.SuDCsAt(apps.UrbanEmergency, s, 0.3, 0.5)
+				n, err = sudcsAt(apps.UrbanEmergency, s, 0.3, 0.5)
 				if err != nil {
 					b.Fatal(err)
 				}

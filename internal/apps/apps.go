@@ -123,11 +123,6 @@ func IDs() []ID {
 	return ids
 }
 
-// FLOPsForPixels returns the total floating-point work to process n pixels.
-func (a Application) FLOPsForPixels(n float64) float64 {
-	return a.FLOPsPerPixel * n
-}
-
 // ComplexitySpreadFactor returns the ratio between the most and least
 // computationally expensive applications per pixel. The paper reports over
 // 10⁵× between aircraft detection and traffic monitoring.

@@ -99,13 +99,6 @@ func TestImageryTypes(t *testing.T) {
 	}
 }
 
-func TestFLOPsForPixels(t *testing.T) {
-	tm, _ := ByID(TrafficMonitor)
-	if got := tm.FLOPsForPixels(1e6); got != 51e6 {
-		t.Errorf("TM on 1 Mpixel = %v FLOPs, want 5.1e7", got)
-	}
-}
-
 func TestLatencySensitiveSubset(t *testing.T) {
 	// §9: TM, APP, AD, CM, LSC, FQE explicitly have no stringent latency
 	// requirements.

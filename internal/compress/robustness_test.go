@@ -59,40 +59,6 @@ func TestDecompressorsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestCCSDS123NeverPanics runs the same torture on the hyperspectral coder.
-func TestCCSDS123NeverPanics(t *testing.T) {
-	cube, err := eoimage.GenerateHyperspectral(eoimage.HyperspectralConfig{
-		Width: 16, Height: 16, Bands: 8, Seed: 1, BandCorrelation: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec := CCSDS123{Width: 16, Height: 16, Bands: 8}
-	comp, err := codec.Compress(cube.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 50; i++ {
-		mut := append([]byte{}, comp...)
-		switch i % 3 {
-		case 0:
-			mut = mut[:rng.Intn(len(mut))]
-		case 1:
-			mut[rng.Intn(len(mut))] ^= 0xFF
-		case 2:
-			rng.Read(mut)
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("CCSDS-123 panicked on mutation %d: %v", i, r)
-				}
-			}()
-			_, _ = codec.Decompress(mut)
-		}()
-	}
-}
-
 // TestCompressorsHandleArbitraryInput checks the stream codecs compress
 // and round-trip arbitrary (non-image) bytes.
 func TestCompressorsHandleArbitraryInput(t *testing.T) {

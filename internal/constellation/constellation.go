@@ -1,7 +1,7 @@
 // Package constellation models Earth-observation satellite constellations:
-// single-plane rings and Walker patterns, formation spacing styles, the
-// satellite weight/power classes of the paper's Table 7, and the current and
-// planned LEO EO constellation inventory of Table 1.
+// single-plane rings, formation spacing styles, the satellite weight/power
+// classes of the paper's Table 7, and the current and planned LEO EO
+// constellation inventory of Table 1.
 package constellation
 
 import (
@@ -17,15 +17,6 @@ import (
 type Satellite struct {
 	Name     string
 	Elements orbit.Elements
-	// PlaneIndex and SlotIndex locate the satellite within a Walker
-	// pattern; for a single-plane ring PlaneIndex is always 0.
-	PlaneIndex int
-	SlotIndex  int
-}
-
-// Propagator returns a J2 propagator for the satellite.
-func (s Satellite) Propagator() orbit.J2Propagator {
-	return orbit.J2Propagator{Elements: s.Elements}
 }
 
 // Constellation is a set of satellites sharing a design.
@@ -115,50 +106,11 @@ func Ring(cfg RingConfig) (Constellation, error) {
 	for i := 0; i < cfg.Count; i++ {
 		el := orbit.CircularLEO(cfg.AltKm, cfg.IncRad, cfg.RAANRad, float64(i)*step, cfg.Epoch)
 		c.Satellites = append(c.Satellites, Satellite{
-			Name:      fmt.Sprintf("%s-%02d", cfg.Name, i),
-			Elements:  el,
-			SlotIndex: i,
+			Name:     fmt.Sprintf("%s-%02d", cfg.Name, i),
+			Elements: el,
 		})
 	}
 	return c, nil
-}
-
-// Walker builds a Walker-delta pattern i:t/p/f — t satellites in p planes
-// with phasing factor f, all at the same altitude and inclination. Planes
-// are spread evenly over 360° of RAAN.
-func Walker(name string, total, planes, phasing int, altKm, incRad float64, epoch time.Time) (Constellation, error) {
-	if planes <= 0 || total <= 0 || total%planes != 0 {
-		return Constellation{}, fmt.Errorf("constellation: walker %d/%d must divide evenly", total, planes)
-	}
-	if phasing < 0 || phasing >= planes {
-		return Constellation{}, fmt.Errorf("constellation: phasing %d outside [0, %d)", phasing, planes)
-	}
-	perPlane := total / planes
-	c := Constellation{Name: name, Planes: planes, PerPlane: perPlane}
-	for p := 0; p < planes; p++ {
-		raan := 2 * math.Pi * float64(p) / float64(planes)
-		phaseOffset := 2 * math.Pi * float64(phasing) * float64(p) / float64(total)
-		for s := 0; s < perPlane; s++ {
-			argLat := 2*math.Pi*float64(s)/float64(perPlane) + phaseOffset
-			el := orbit.CircularLEO(altKm, incRad, raan, argLat, epoch)
-			c.Satellites = append(c.Satellites, Satellite{
-				Name:       fmt.Sprintf("%s-p%02d-s%02d", name, p, s),
-				Elements:   el,
-				PlaneIndex: p,
-				SlotIndex:  s,
-			})
-		}
-	}
-	return c, nil
-}
-
-// InterSatDistanceKm returns the chord distance between two satellites of
-// the constellation at time t.
-func (c Constellation) InterSatDistanceKm(i, j int, t time.Time) (float64, error) {
-	if i < 0 || i >= len(c.Satellites) || j < 0 || j >= len(c.Satellites) {
-		return 0, fmt.Errorf("constellation: index out of range (%d, %d)", i, j)
-	}
-	return orbit.SlantRangeKm(c.Satellites[i].Propagator(), c.Satellites[j].Propagator(), t)
 }
 
 // SatelliteClass is a weight/power class from the paper's Table 7.
@@ -196,9 +148,4 @@ var (
 // Classes lists the Table 7 satellite classes from smallest to largest.
 func Classes() []SatelliteClass {
 	return []SatelliteClass{ClassPicosat, ClassCubesat, ClassMicrosat, ClassSmallsat, ClassStation}
-}
-
-// Supports reports whether the class's maximum power budget covers need.
-func (sc SatelliteClass) Supports(need units.Power) bool {
-	return need <= sc.MaxPower
 }

@@ -6,10 +6,15 @@ import (
 	"time"
 
 	"spacedc/internal/orbit"
-	"spacedc/internal/units"
 )
 
 var epoch = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+
+// chordKm returns the distance between satellites i and j of c at epoch.
+func chordKm(c Constellation, i, j int) float64 {
+	a := c.Satellites[i].Elements.StateAtJ2(epoch).Position
+	return a.DistanceTo(c.Satellites[j].Elements.StateAtJ2(epoch).Position)
+}
 
 func TestRingOrbitSpaced(t *testing.T) {
 	c, err := Ring(RingConfig{Name: "eo", Count: 64, AltKm: 550, IncRad: 0.9, Epoch: epoch, Spacing: OrbitSpaced})
@@ -20,10 +25,7 @@ func TestRingOrbitSpaced(t *testing.T) {
 		t.Fatalf("size = %d, want 64", c.Size())
 	}
 	// Adjacent spacing = 2π/64 of the circumference ≈ 680 km at 550 km alt.
-	d, err := c.InterSatDistanceKm(0, 1, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := chordKm(c, 0, 1)
 	r := orbit.EarthRadiusKm + 550
 	want := 2 * r * math.Sin(math.Pi/64)
 	if math.Abs(d-want) > 1 {
@@ -31,7 +33,7 @@ func TestRingOrbitSpaced(t *testing.T) {
 	}
 	// All satellites at the same altitude.
 	for i, s := range c.Satellites {
-		if alt := s.Elements.StateAt(epoch).AltitudeKm(); math.Abs(alt-550) > 0.01 {
+		if alt := s.Elements.StateAt(epoch).Position.Norm() - orbit.EarthRadiusKm; math.Abs(alt-550) > 0.01 {
 			t.Errorf("sat %d altitude %v", i, alt)
 		}
 	}
@@ -43,16 +45,13 @@ func TestRingFrameSpaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.InterSatDistanceKm(0, 1, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := chordKm(c, 0, 1)
 	if math.Abs(d-DefaultFrameSpacingKm) > 0.1 {
 		t.Errorf("frame spacing = %v km, want %v", d, DefaultFrameSpacingKm)
 	}
 	// Frame-spaced satellites are far closer than orbit-spaced ones.
 	oc, _ := Ring(RingConfig{Name: "eo", Count: 64, AltKm: 550, Epoch: epoch, Spacing: OrbitSpaced})
-	od, _ := oc.InterSatDistanceKm(0, 1, epoch)
+	od := chordKm(oc, 0, 1)
 	if d >= od {
 		t.Errorf("frame-spaced (%v km) should be tighter than orbit-spaced (%v km)", d, od)
 	}
@@ -75,50 +74,6 @@ func TestRingValidation(t *testing.T) {
 	}
 }
 
-func TestWalkerShape(t *testing.T) {
-	c, err := Walker("w", 24, 3, 1, 550, 53*math.Pi/180, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != 24 || c.Planes != 3 || c.PerPlane != 8 {
-		t.Fatalf("shape = %d/%d/%d", c.Size(), c.Planes, c.PerPlane)
-	}
-	// RAANs: 0°, 120°, 240°.
-	seen := map[int]float64{}
-	for _, s := range c.Satellites {
-		seen[s.PlaneIndex] = s.Elements.RAANRad
-	}
-	for p := 0; p < 3; p++ {
-		want := 2 * math.Pi * float64(p) / 3
-		if math.Abs(seen[p]-want) > 1e-9 {
-			t.Errorf("plane %d RAAN = %v, want %v", p, seen[p], want)
-		}
-	}
-}
-
-func TestWalkerValidation(t *testing.T) {
-	if _, err := Walker("w", 25, 3, 0, 550, 1, epoch); err == nil {
-		t.Error("non-divisible total accepted")
-	}
-	if _, err := Walker("w", 24, 3, 3, 550, 1, epoch); err == nil {
-		t.Error("phasing ≥ planes accepted")
-	}
-	if _, err := Walker("w", 0, 1, 0, 550, 1, epoch); err == nil {
-		t.Error("zero total accepted")
-	}
-}
-
-func TestInterSatDistanceBounds(t *testing.T) {
-	c, _ := Ring(RingConfig{Name: "r", Count: 4, AltKm: 550, Epoch: epoch, Spacing: OrbitSpaced})
-	if _, err := c.InterSatDistanceKm(0, 9, epoch); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	d, err := c.InterSatDistanceKm(2, 2, epoch)
-	if err != nil || d != 0 {
-		t.Errorf("self distance = %v (err %v), want 0", d, err)
-	}
-}
-
 func TestSatelliteClasses(t *testing.T) {
 	cls := Classes()
 	if len(cls) != 5 {
@@ -129,15 +84,6 @@ func TestSatelliteClasses(t *testing.T) {
 		if cls[i].MaxPower < cls[i-1].MaxPower {
 			t.Errorf("classes out of order at %d: %v < %v", i, cls[i].MaxPower, cls[i-1].MaxPower)
 		}
-	}
-	if !ClassCubesat.Supports(25 * units.Watt) {
-		t.Error("cubesat should support 25 W")
-	}
-	if ClassCubesat.Supports(100 * units.Watt) {
-		t.Error("cubesat should not support 100 W")
-	}
-	if !ClassStation.Supports(200 * units.Kilowatt) {
-		t.Error("station class should support 200 kW")
 	}
 }
 

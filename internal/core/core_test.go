@@ -286,26 +286,37 @@ func TestSupportedOnBudget(t *testing.T) {
 }
 
 func TestSweepSuDCsShape(t *testing.T) {
-	cells := SweepSuDCs(mission64, Default4kW())
-	if len(cells) != 10*4*4 {
-		t.Fatalf("sweep size %d, want 160", len(cells))
+	// The paper sweep: every app at 4 resolutions × 4 discard rates.
+	cells := 0
+	for _, id := range apps.IDs() {
+		for _, res := range datagen.StandardResolutions {
+			for _, ed := range datagen.StandardDiscardRates {
+				cells++
+				w := Workload{App: id, Mission: mission64, ResolutionM: res, EarlyDiscard: ed}
+				n, err := SuDCsNeeded(w, Default4kW())
+				if err != nil {
+					t.Errorf("%s @ %v m / %v: %v", id, res, ed, err)
+				}
+				if n < 1 {
+					t.Errorf("%s @ %v m: %d SµDCs", id, res, n)
+				}
+			}
+		}
 	}
-	for _, c := range cells {
-		if c.Err != nil {
-			t.Errorf("%s @ %v m / %v: %v", c.App, c.ResolutionM, c.EarlyDiscard, c.Err)
-		}
-		if c.SuDCs < 1 {
-			t.Errorf("%s @ %v m: %d SµDCs", c.App, c.ResolutionM, c.SuDCs)
-		}
+	if cells != 10*4*4 {
+		t.Fatalf("sweep size %d, want 160", cells)
 	}
 }
 
 func TestSupportedByOneSuDCMajority(t *testing.T) {
 	// Paper abstract: "one 4 kW SµDC can support the computation need of
 	// a majority of applications, especially … with early discard."
-	n, err := SupportedByOneSuDC(mission64, Default4kW(), 1, 0.95)
-	if err != nil {
-		t.Fatal(err)
+	n := 0
+	for _, id := range apps.IDs() {
+		w := Workload{App: id, Mission: mission64, ResolutionM: 1, EarlyDiscard: 0.95}
+		if need, err := SuDCsNeeded(w, Default4kW()); err == nil && need <= 1 {
+			n++
+		}
 	}
 	if n < 6 {
 		t.Errorf("one SµDC supports %d/10 apps at 1 m/95%%, want a majority", n)
@@ -385,15 +396,6 @@ func TestGEOStarContinuousCoverage(t *testing.T) {
 }
 
 func TestPlacementProperties(t *testing.T) {
-	if !LEOInPlane.StaticTopology() {
-		t.Error("in-plane placement should allow static topology")
-	}
-	if LEOHigher.StaticTopology() || GEO.StaticTopology() {
-		t.Error("drifting placements cannot keep optical ISLs pointed statically")
-	}
-	if !GEO.NeedsOuterBeltHardening() || LEOInPlane.NeedsOuterBeltHardening() {
-		t.Error("outer-belt hardening flags wrong")
-	}
 	if GEO.TypicalEclipseFraction() >= LEOInPlane.TypicalEclipseFraction() {
 		t.Error("GEO eclipses far less than LEO")
 	}

@@ -73,21 +73,6 @@ func (d DisaggregatedSuDC) Validate() error {
 	return nil
 }
 
-// DeliveredPower returns the power reaching the compute module after WPT
-// losses.
-func (d DisaggregatedSuDC) DeliveredPower() units.Power {
-	return units.Power(float64(d.GeneratedPower) * d.WPTEfficiency)
-}
-
-// TotalMassKg sums module masses.
-func (d DisaggregatedSuDC) TotalMassKg() float64 {
-	total := 0.0
-	for _, m := range d.Modules {
-		total += m.MassKg
-	}
-	return total
-}
-
 // LifecycleCost returns the total cost over missionYears: initial build
 // and launch of every module plus replacement launches for modules that
 // wear out. Replacing a module relaunches only that module — the

@@ -162,17 +162,6 @@ func TestDisaggregatedValidate(t *testing.T) {
 	}
 }
 
-func TestDisaggregatedPowerDelivery(t *testing.T) {
-	d := DefaultDisaggregated()
-	// 5.9 kW × 0.85 ≈ 5.0 kW delivered — the monolithic total power.
-	if got := d.DeliveredPower(); math.Abs(float64(got)-5015) > 30 {
-		t.Errorf("delivered = %v, want ≈5 kW", got)
-	}
-	if d.TotalMassKg() != 800+900+500 {
-		t.Errorf("total mass = %v", d.TotalMassKg())
-	}
-}
-
 func TestDisaggregatedLifecycleEconomics(t *testing.T) {
 	// Over a 15-year mission with 4-year compute refreshes, relaunching
 	// only the compute module beats relaunching whole monolithic SµDCs —

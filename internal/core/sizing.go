@@ -83,51 +83,3 @@ func SupportedOnBudget(app apps.ID, dev gpusim.Device, frame datagen.FrameSpec, 
 	}
 	return need <= budget, nil
 }
-
-// SweepCell is one (resolution, discard) cell of a Fig 9/14/16-style sweep
-// for one application.
-type SweepCell struct {
-	App          apps.ID
-	ResolutionM  float64
-	EarlyDiscard float64
-	SuDCs        int
-	// Err is non-nil when the app cannot run on the device at all.
-	Err error
-}
-
-// SweepSuDCs runs the full paper sweep (4 resolutions × 4 discard rates ×
-// all apps) for one SµDC design over one mission.
-func SweepSuDCs(mission datagen.Mission, s SuDC) []SweepCell {
-	var out []SweepCell
-	for _, id := range apps.IDs() {
-		for _, res := range datagen.StandardResolutions {
-			for _, ed := range datagen.StandardDiscardRates {
-				w := Workload{App: id, Mission: mission, ResolutionM: res, EarlyDiscard: ed}
-				n, err := SuDCsNeeded(w, s)
-				out = append(out, SweepCell{App: id, ResolutionM: res, EarlyDiscard: ed, SuDCs: n, Err: err})
-			}
-		}
-	}
-	return out
-}
-
-// SupportedByOneSuDC counts how many of the ten applications a single SµDC
-// of design s can fully support at the given resolution and discard rate —
-// the paper's headline "one 4 kW SµDC supports a majority of applications".
-func SupportedByOneSuDC(mission datagen.Mission, s SuDC, resM, earlyDiscard float64) (int, error) {
-	count := 0
-	for _, id := range apps.IDs() {
-		w := Workload{App: id, Mission: mission, ResolutionM: resM, EarlyDiscard: earlyDiscard}
-		n, err := SuDCsNeeded(w, s)
-		if err != nil {
-			if w.Validate() != nil || s.Validate() != nil {
-				return 0, err
-			}
-			continue // app unsupported on the device: doesn't count
-		}
-		if n <= 1 {
-			count++
-		}
-	}
-	return count, nil
-}

@@ -101,10 +101,6 @@ func (p Placement) String() string {
 	}
 }
 
-// StaticTopology reports whether optical ISLs can stay pointed without
-// re-acquisition: only in-plane formation flight keeps geometry fixed.
-func (p Placement) StaticTopology() bool { return p == LEOInPlane }
-
 // TypicalEclipseFraction returns the long-run fraction of time in Earth
 // shadow: ~1/3 for LEO, near zero for GEO (§9). The orbit package computes
 // exact values; this is the design rule of thumb.
@@ -116,10 +112,6 @@ func (p Placement) TypicalEclipseFraction() float64 {
 		return 1.0 / 3.0
 	}
 }
-
-// NeedsOuterBeltHardening reports whether the placement sits in the outer
-// Van Allen belt's high-energy electron environment.
-func (p Placement) NeedsOuterBeltHardening() bool { return p == GEO }
 
 // SuDC is one space microdatacenter design.
 type SuDC struct {

@@ -91,64 +91,3 @@ func SatellitesForRevisit(im Imager, target time.Duration, latRad float64) (int,
 	}
 	return n, nil
 }
-
-// GapStatistics measures actual revisit behavior by propagation: it flies
-// the satellites over the span and records the gaps between imaging
-// opportunities of a specific ground target (the target is "imaged" when
-// it falls inside a satellite's swath cone).
-type GapStatistics struct {
-	Passes     int
-	MeanGap    time.Duration
-	LongestGap time.Duration
-}
-
-// MeasureRevisit propagates the satellites and measures revisit gaps of
-// the target point. Sampling uses the given step.
-func MeasureRevisit(im Imager, sats []orbit.Elements, target orbit.Geodetic, start time.Time, span, step time.Duration) (GapStatistics, error) {
-	if err := im.Validate(); err != nil {
-		return GapStatistics{}, err
-	}
-	if len(sats) == 0 {
-		return GapStatistics{}, fmt.Errorf("coverage: no satellites")
-	}
-	if step <= 0 || span <= 0 {
-		return GapStatistics{}, fmt.Errorf("coverage: non-positive span or step")
-	}
-	targetECEF := target.ECEF()
-	// The target is visible when the off-nadir angle from some satellite
-	// to the target is within the sensor cone.
-	cond := func(t time.Time) (bool, error) {
-		for i := range sats {
-			s := sats[i].StateAtJ2(t)
-			satECEF := orbit.ECIToECEF(s.Position, t)
-			toTarget := targetECEF.Sub(satECEF)
-			offNadir := toTarget.AngleTo(satECEF.Neg())
-			// Inside the sensor cone and above the target's horizon
-			// (the elevation test handles surface targets, which sit
-			// exactly on the LineOfSight blocking sphere).
-			if offNadir <= im.HalfAngleRad && orbit.ElevationAngle(targetECEF, satECEF) > 0 {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	windows, err := orbit.FindWindows(cond, start, span, step, step/4)
-	if err != nil {
-		return GapStatistics{}, err
-	}
-	stats := GapStatistics{Passes: len(windows)}
-	if len(windows) < 2 {
-		stats.LongestGap = span
-		return stats, nil
-	}
-	var total time.Duration
-	for i := 1; i < len(windows); i++ {
-		gap := windows[i].Start.Sub(windows[i-1].End)
-		total += gap
-		if gap > stats.LongestGap {
-			stats.LongestGap = gap
-		}
-	}
-	stats.MeanGap = total / time.Duration(len(windows)-1)
-	return stats, nil
-}

@@ -4,22 +4,11 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"spacedc/internal/orbit"
 )
-
-var epoch = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 
 // wideImager is a 550 km satellite with a 30° half-angle sensor
 // (≈660 km swath).
 var wideImager = Imager{AltKm: 550, HalfAngleRad: 30 * math.Pi / 180}
-
-// horizonImager is a near-horizon sensor (≈3300 km swath) whose swath
-// exceeds the ~2700 km spacing of successive equator crossings, so a
-// single satellite images any equatorial target every day — used by the
-// propagation tests so short spans suffice. (A 660 km swath can
-// legitimately miss a fixed target for days between repeat cycles.)
-var horizonImager = Imager{AltKm: 550, HalfAngleRad: 65 * math.Pi / 180}
 
 func TestImagerValidate(t *testing.T) {
 	if err := wideImager.Validate(); err != nil {
@@ -118,62 +107,5 @@ func TestRevisitValidation(t *testing.T) {
 	}
 	if _, err := SatellitesForRevisit(wideImager, 0, 0); err == nil {
 		t.Error("zero target accepted")
-	}
-}
-
-func TestMeasureRevisitPropagated(t *testing.T) {
-	// A single polar wide-swath satellite over an equatorial target: the
-	// measured pass count over 2 days should be positive and the longest
-	// gap should be hours-to-a-day scale, consistent with (same order of
-	// magnitude as) the analytic estimate.
-	sat := orbit.CircularLEO(550, 88*math.Pi/180, 0, 0, epoch)
-	target := orbit.Geodetic{LatRad: 0, LonRad: 10 * math.Pi / 180}
-	stats, err := MeasureRevisit(horizonImager, []orbit.Elements{sat}, target,
-		epoch, 48*time.Hour, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Passes == 0 {
-		t.Fatal("satellite never imaged the target in 2 days")
-	}
-	if stats.LongestGap <= 0 {
-		t.Error("gap statistics empty")
-	}
-	if stats.LongestGap < 30*time.Minute {
-		t.Errorf("longest gap %v implausibly short for one satellite", stats.LongestGap)
-	}
-}
-
-func TestMeasureRevisitMoreSatsMorePasses(t *testing.T) {
-	target := orbit.Geodetic{LatRad: 20 * math.Pi / 180, LonRad: -60 * math.Pi / 180}
-	one := []orbit.Elements{orbit.CircularLEO(550, 80*math.Pi/180, 0, 0, epoch)}
-	var four []orbit.Elements
-	for i := 0; i < 4; i++ {
-		four = append(four, orbit.CircularLEO(550, 80*math.Pi/180, float64(i)*math.Pi/2, 0, epoch))
-	}
-	s1, err := MeasureRevisit(horizonImager, one, target, epoch, 24*time.Hour, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, err := MeasureRevisit(horizonImager, four, target, epoch, 24*time.Hour, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4.Passes < s1.Passes {
-		t.Errorf("4 planes (%d passes) should beat 1 (%d)", s4.Passes, s1.Passes)
-	}
-}
-
-func TestMeasureRevisitValidation(t *testing.T) {
-	target := orbit.Geodetic{}
-	if _, err := MeasureRevisit(wideImager, nil, target, epoch, time.Hour, time.Minute); err == nil {
-		t.Error("empty constellation accepted")
-	}
-	sat := orbit.CircularLEO(550, 1, 0, 0, epoch)
-	if _, err := MeasureRevisit(wideImager, []orbit.Elements{sat}, target, epoch, 0, time.Minute); err == nil {
-		t.Error("zero span accepted")
-	}
-	if _, err := MeasureRevisit(Imager{}, []orbit.Elements{sat}, target, epoch, time.Hour, time.Minute); err == nil {
-		t.Error("invalid imager accepted")
 	}
 }

@@ -64,8 +64,6 @@ func CombineIndependent(criteria ...Criterion) Criterion {
 
 // Classifier decides whether a frame should be discarded.
 type Classifier interface {
-	// Name identifies the rule.
-	Name() string
 	// Discard reports whether the scene should be dropped.
 	Discard(s *eoimage.Scene) bool
 }
@@ -75,9 +73,6 @@ type Classifier interface {
 type NightClassifier struct {
 	Threshold float64
 }
-
-// Name implements Classifier.
-func (NightClassifier) Name() string { return "night" }
 
 // Discard implements Classifier.
 func (n NightClassifier) Discard(s *eoimage.Scene) bool {
@@ -94,9 +89,6 @@ func (n NightClassifier) Discard(s *eoimage.Scene) bool {
 type OceanClassifier struct {
 	MinBlueFraction float64
 }
-
-// Name implements Classifier.
-func (OceanClassifier) Name() string { return "ocean" }
 
 // Discard implements Classifier.
 func (o OceanClassifier) Discard(s *eoimage.Scene) bool {
@@ -119,9 +111,6 @@ type CloudClassifier struct {
 	MaxCloudFraction float64
 }
 
-// Name implements Classifier.
-func (CloudClassifier) Name() string { return "cloud" }
-
 // Discard implements Classifier.
 func (c CloudClassifier) Discard(s *eoimage.Scene) bool {
 	maxFrac := c.MaxCloudFraction
@@ -140,26 +129,6 @@ func (c CloudClassifier) Discard(s *eoimage.Scene) bool {
 	return float64(cloudy)/float64(s.Pixels()) >= maxFrac
 }
 
-// BuiltUpClassifier drops frames without man-made structure, detected by
-// horizontal/vertical edge density (buildings and road grids produce
-// axis-aligned gradients natural scenes lack). MinEdgeDensity defaults to
-// 0.05.
-type BuiltUpClassifier struct {
-	MinEdgeDensity float64
-}
-
-// Name implements Classifier.
-func (BuiltUpClassifier) Name() string { return "built-up" }
-
-// Discard implements Classifier.
-func (b BuiltUpClassifier) Discard(s *eoimage.Scene) bool {
-	minDensity := b.MinEdgeDensity
-	if minDensity == 0 {
-		minDensity = 0.05
-	}
-	return edgeDensity(s) < minDensity
-}
-
 // meanLuminance returns the average of (R+G+B)/3 over the scene.
 func meanLuminance(s *eoimage.Scene) float64 {
 	var total float64
@@ -167,25 +136,6 @@ func meanLuminance(s *eoimage.Scene) float64 {
 		total += (float64(s.R[i]) + float64(s.G[i]) + float64(s.B[i])) / 3
 	}
 	return total / float64(s.Pixels())
-}
-
-// edgeDensity returns the fraction of pixels with a strong axis-aligned
-// gradient in the green channel.
-func edgeDensity(s *eoimage.Scene) float64 {
-	const threshold = 40.0
-	edges := 0
-	w, h := s.Width, s.Height
-	for y := 1; y < h; y++ {
-		for x := 1; x < w; x++ {
-			i := y*w + x
-			dx := math.Abs(float64(s.G[i]) - float64(s.G[i-1]))
-			dy := math.Abs(float64(s.G[i]) - float64(s.G[i-w]))
-			if dx > threshold || dy > threshold {
-				edges++
-			}
-		}
-	}
-	return float64(edges) / float64((w-1)*(h-1))
 }
 
 // Pipeline applies classifiers in order; a frame is discarded when any
@@ -216,15 +166,6 @@ func (s Stats) Rate() float64 {
 		return 0
 	}
 	return float64(s.Discarded) / float64(s.Frames)
-}
-
-// ECR returns the achieved effective compression ratio.
-func (s Stats) ECR() float64 {
-	kept := s.Frames - s.Discarded
-	if kept == 0 {
-		return math.Inf(1)
-	}
-	return float64(s.Frames) / float64(kept)
 }
 
 // Evaluate runs the pipeline over frames and tallies the discard rate.

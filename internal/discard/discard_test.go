@@ -126,22 +126,6 @@ func TestCloudClassifier(t *testing.T) {
 	}
 }
 
-func TestBuiltUpClassifier(t *testing.T) {
-	urban := scene(t, eoimage.Config{Seed: 4, Kind: eoimage.Urban})
-	rural := scene(t, eoimage.Config{Seed: 4, Kind: eoimage.Rural})
-	ocean := scene(t, eoimage.Config{Seed: 4, Kind: eoimage.Ocean})
-	bc := BuiltUpClassifier{}
-	if bc.Discard(urban) {
-		t.Error("urban scene discarded by built-up filter")
-	}
-	if !bc.Discard(rural) {
-		t.Error("rural scene kept by built-up filter")
-	}
-	if !bc.Discard(ocean) {
-		t.Error("ocean scene kept by built-up filter")
-	}
-}
-
 func TestPipelineAnyVote(t *testing.T) {
 	p := Pipeline{Classifiers: []Classifier{NightClassifier{}, OceanClassifier{}}}
 	dayLand := scene(t, eoimage.Config{Seed: 5, Kind: eoimage.Urban})
@@ -173,31 +157,11 @@ func TestPipelineEvaluateRate(t *testing.T) {
 	if math.Abs(st.Rate()-0.6) > 1e-12 {
 		t.Errorf("rate = %v", st.Rate())
 	}
-	if math.Abs(st.ECR()-2.5) > 1e-12 {
-		t.Errorf("ECR = %v", st.ECR())
-	}
 }
 
 func TestStatsDegenerate(t *testing.T) {
 	if (Stats{}).Rate() != 0 {
 		t.Error("empty stats rate should be 0")
-	}
-	if !math.IsInf(Stats{Frames: 3, Discarded: 3}.ECR(), 1) {
-		t.Error("all-discarded ECR should be infinite")
-	}
-}
-
-func TestClassifierNames(t *testing.T) {
-	names := map[string]Classifier{
-		"night":    NightClassifier{},
-		"ocean":    OceanClassifier{},
-		"cloud":    CloudClassifier{},
-		"built-up": BuiltUpClassifier{},
-	}
-	for want, c := range names {
-		if c.Name() != want {
-			t.Errorf("classifier name %q, want %q", c.Name(), want)
-		}
 	}
 }
 

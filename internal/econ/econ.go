@@ -345,10 +345,6 @@ func (m CostModel) launchRate(altKm float64) float64 {
 	return float64(m.LaunchPerKg) * factor
 }
 
-// LaunchRatePerKg exposes the altitude-surcharged $/kg rate so property
-// tests (and reports) can reconstruct per-shell launch pricing exactly.
-func (m CostModel) LaunchRatePerKg(altKm float64) float64 { return m.launchRate(altKm) }
-
 // Cost prices a design. It validates both inputs and guarantees a finite,
 // strictly positive breakdown on success — degenerate designs cannot
 // score an infinite goodput-per-dollar by costing nothing.

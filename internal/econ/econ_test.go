@@ -232,7 +232,7 @@ func TestMultiShellCostMonotoneInAltitude(t *testing.T) {
 // 2-shell design's launch and hardware costs equal — to the last bit, not
 // within a tolerance — the two single-shell designs at their respective
 // altitudes plus the cross-link terminal terms reconstructed from
-// LaunchRatePerKg. The implementation accumulates in exactly this
+// launchRate. The implementation accumulates in exactly this
 // left-associated order, so any drift is a real model change.
 func TestTwoShellCostIsExactSum(t *testing.T) {
 	m := DefaultCostModel()
@@ -251,7 +251,7 @@ func TestTwoShellCostIsExactSum(t *testing.T) {
 
 	pairs := d.Planes * d.SatsPerPlane
 	crossLaunch := float64(pairs) * m.ISLTerminalMassKg *
-		(m.LaunchRatePerKg(lo.AltitudeKm) + m.LaunchRatePerKg(hi.AltitudeKm))
+		(m.launchRate(lo.AltitudeKm) + m.launchRate(hi.AltitudeKm))
 	crossHardware := float64(2*pairs) * float64(m.ISLTerminalCost)
 
 	if want := units.Money(float64(bLo.LaunchCost) + float64(bHi.LaunchCost) + crossLaunch); got.LaunchCost != want {

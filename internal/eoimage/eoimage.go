@@ -1,8 +1,7 @@
 // Package eoimage generates synthetic Earth-observation imagery with
 // realistic statistics: spatially correlated land and ocean textures,
 // cloud layers, night scenes with sparse lights, built-up areas with
-// man-made structure, hyperspectral cubes with inter-band correlation, and
-// speckled SAR scenes with large quiet backgrounds.
+// man-made structure, and speckled SAR scenes with large quiet backgrounds.
 //
 // It substitutes for the paper's CrowdAI Mapping Challenge (RGB) and xView3
 // (SAR) datasets: compression ratio is a function of image statistics, so a
@@ -13,8 +12,6 @@ package eoimage
 
 import (
 	"fmt"
-	"image"
-	"image/color"
 	"math"
 	"math/rand"
 )
@@ -82,15 +79,6 @@ type Scene struct {
 // Pixels returns Width × Height.
 func (s *Scene) Pixels() int { return s.Width * s.Height }
 
-// Image renders the scene as an image.Image for the stdlib codecs.
-func (s *Scene) Image() *image.RGBA {
-	img := image.NewRGBA(image.Rect(0, 0, s.Width, s.Height))
-	for i := 0; i < s.Pixels(); i++ {
-		img.SetRGBA(i%s.Width, i/s.Width, color.RGBA{R: s.R[i], G: s.G[i], B: s.B[i], A: 255})
-	}
-	return img
-}
-
 // Interleaved returns the pixel data as RGBRGB… bytes, the layout the
 // non-image codecs compress.
 func (s *Scene) Interleaved() []byte {
@@ -99,39 +87,6 @@ func (s *Scene) Interleaved() []byte {
 		out = append(out, s.R[i], s.G[i], s.B[i])
 	}
 	return out
-}
-
-// CloudFraction returns the fraction of pixels under cloud.
-func (s *Scene) CloudFraction() float64 {
-	n := 0
-	for _, c := range s.Cloud {
-		if c {
-			n++
-		}
-	}
-	return float64(n) / float64(s.Pixels())
-}
-
-// WaterFraction returns the fraction of water pixels.
-func (s *Scene) WaterFraction() float64 {
-	n := 0
-	for _, w := range s.Water {
-		if w {
-			n++
-		}
-	}
-	return float64(n) / float64(s.Pixels())
-}
-
-// BuiltUpFraction returns the fraction of built-up pixels.
-func (s *Scene) BuiltUpFraction() float64 {
-	n := 0
-	for _, b := range s.BuiltUp {
-		if b {
-			n++
-		}
-	}
-	return float64(n) / float64(s.Pixels())
 }
 
 // Generate builds a synthetic RGB scene.

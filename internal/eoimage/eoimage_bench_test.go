@@ -23,14 +23,3 @@ func BenchmarkGenerateSAR(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkGenerateHyperspectral(b *testing.B) {
-	cfg := HyperspectralConfig{Width: 128, Height: 128, Bands: 64, BandCorrelation: 0.95}
-	b.SetBytes(int64(2 * cfg.Width * cfg.Height * cfg.Bands))
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := GenerateHyperspectral(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// fraction returns the share of true entries in a per-pixel mask.
+func fraction(mask []bool) float64 {
+	n := 0
+	for _, v := range mask {
+		if v {
+			n++
+		}
+	}
+	return float64(n) / float64(len(mask))
+}
+
 func mustScene(t *testing.T, cfg Config) *Scene {
 	t.Helper()
 	s, err := Generate(cfg)
@@ -52,7 +63,7 @@ func TestGenerateValidation(t *testing.T) {
 
 func TestOceanSceneIsBlueAndWet(t *testing.T) {
 	s := mustScene(t, Config{Width: 128, Height: 128, Seed: 1, Kind: Ocean})
-	if got := s.WaterFraction(); got != 1 {
+	if got := fraction(s.Water); got != 1 {
 		t.Errorf("ocean water fraction = %v, want 1", got)
 	}
 	var rSum, bSum int
@@ -67,12 +78,12 @@ func TestOceanSceneIsBlueAndWet(t *testing.T) {
 
 func TestUrbanSceneHasStructure(t *testing.T) {
 	s := mustScene(t, Config{Width: 256, Height: 256, Seed: 2, Kind: Urban})
-	bu := s.BuiltUpFraction()
+	bu := fraction(s.BuiltUp)
 	if bu < 0.1 || bu > 0.95 {
 		t.Errorf("urban built-up fraction = %v, want substantial", bu)
 	}
 	r := mustScene(t, Config{Width: 256, Height: 256, Seed: 2, Kind: Rural})
-	if r.BuiltUpFraction() >= bu {
+	if fraction(r.BuiltUp) >= bu {
 		t.Error("rural should have less built-up area than urban")
 	}
 }
@@ -80,7 +91,7 @@ func TestUrbanSceneHasStructure(t *testing.T) {
 func TestCloudFractionControl(t *testing.T) {
 	for _, want := range []float64{0, 0.3, 0.67, 1} {
 		s := mustScene(t, Config{Width: 200, Height: 200, Seed: 3, Kind: Rural, CloudFraction: want})
-		got := s.CloudFraction()
+		got := fraction(s.Cloud)
 		if math.Abs(got-want) > 0.08 {
 			t.Errorf("requested %v cloud, got %v", want, got)
 		}
@@ -139,17 +150,13 @@ func TestNightSceneIsDark(t *testing.T) {
 
 func TestImageRendering(t *testing.T) {
 	s := mustScene(t, Config{Width: 32, Height: 16, Seed: 6, Kind: Rural})
-	img := s.Image()
-	if img.Bounds().Dx() != 32 || img.Bounds().Dy() != 16 {
-		t.Errorf("image bounds %v", img.Bounds())
+	img := s.Interleaved()
+	if got := len(img); got != 3*32*16 {
+		t.Fatalf("interleaved length %d", got)
 	}
-	r, g, b, a := img.At(5, 5).RGBA()
 	i := 5*32 + 5
-	if uint8(r>>8) != s.R[i] || uint8(g>>8) != s.G[i] || uint8(b>>8) != s.B[i] || a != 0xffff {
+	if img[3*i] != s.R[i] || img[3*i+1] != s.G[i] || img[3*i+2] != s.B[i] {
 		t.Error("rendered pixel mismatch")
-	}
-	if got := len(s.Interleaved()); got != 3*32*16 {
-		t.Errorf("interleaved length %d", got)
 	}
 }
 
@@ -202,9 +209,6 @@ func TestGenerateSARBasics(t *testing.T) {
 	if oceanMax >= shipMax {
 		t.Errorf("ocean (%d) should be darker than ships (%d)", oceanMax, shipMax)
 	}
-	if img := s.Image(); img.Bounds().Dx() != 256 {
-		t.Error("SAR image bounds wrong")
-	}
 	if got := len(s.Bytes()); got != 2*256*256 {
 		t.Errorf("byte stream length %d", got)
 	}
@@ -242,44 +246,6 @@ func TestSARSpeckleLooksReduceVariance(t *testing.T) {
 	}
 	if v1, v16 := variance(1), variance(16); v16 >= v1 {
 		t.Errorf("16-look speckle variance %v should be below single-look %v", v16, v1)
-	}
-}
-
-func TestGenerateHyperspectral(t *testing.T) {
-	cube, err := GenerateHyperspectral(HyperspectralConfig{
-		Width: 64, Height: 64, Bands: 32, Seed: 1, BandCorrelation: 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cube.Samples) != 64*64*32 {
-		t.Fatalf("cube size %d", len(cube.Samples))
-	}
-	// 12-bit radiometry.
-	for _, v := range cube.Samples {
-		if v > 4095 {
-			t.Fatalf("sample %d exceeds 12-bit range", v)
-		}
-	}
-	// Adjacent bands strongly correlated.
-	if r := cube.BandCorrelationCoefficient(); r < 0.8 {
-		t.Errorf("band correlation %v, want > 0.8", r)
-	}
-	if got := len(cube.Bytes()); got != 2*64*64*32 {
-		t.Errorf("byte stream length %d", got)
-	}
-}
-
-func TestHyperspectralValidation(t *testing.T) {
-	bad := []HyperspectralConfig{
-		{Width: 0, Height: 4, Bands: 4},
-		{Width: 4, Height: 4, Bands: 0},
-		{Width: 4, Height: 4, Bands: 4, BandCorrelation: 1.0},
-		{Width: 4, Height: 4, Bands: 4, BandCorrelation: -0.1},
-	}
-	for _, cfg := range bad {
-		if _, err := GenerateHyperspectral(cfg); err == nil {
-			t.Errorf("bad cube config accepted: %+v", cfg)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package eoimage
 
 import (
 	"fmt"
-	"image"
 	"math"
 	"math/rand"
 )
@@ -61,9 +60,6 @@ type SARScene struct {
 	ShipMask []bool
 }
 
-// Pixels returns Width × Height.
-func (s *SARScene) Pixels() int { return s.Width * s.Height }
-
 // Bytes returns the raw little-endian sample stream the codecs compress.
 func (s *SARScene) Bytes() []byte {
 	out := make([]byte, 0, 2*len(s.Amplitude))
@@ -71,18 +67,6 @@ func (s *SARScene) Bytes() []byte {
 		out = append(out, byte(v), byte(v>>8))
 	}
 	return out
-}
-
-// Image renders the scene as a 16-bit grayscale image.
-func (s *SARScene) Image() *image.Gray16 {
-	img := image.NewGray16(image.Rect(0, 0, s.Width, s.Height))
-	for i, v := range s.Amplitude {
-		x, y := i%s.Width, i/s.Width
-		off := img.PixOffset(x, y)
-		img.Pix[off] = byte(v >> 8)
-		img.Pix[off+1] = byte(v)
-	}
-	return img
 }
 
 // GenerateSAR builds a synthetic SAR scene.

@@ -276,18 +276,3 @@ func Fig15() ([]report.Table, error) {
 	}
 	return []report.Table{t}, nil
 }
-
-// SuDCForDevice builds a 4 kW SµDC around any catalog device — used by the
-// device-sweep ablation bench.
-func SuDCForDevice(dev gpusim.Device) core.SuDC {
-	s := core.Default4kW()
-	s.Device = dev
-	s.Name = "SµDC-4kW-" + dev.Name
-	return s
-}
-
-// SuDCsAt is a convenience used by benches: SµDCs needed for one cell.
-func SuDCsAt(app apps.ID, s core.SuDC, resM, ed float64) (int, error) {
-	w := core.Workload{App: app, Mission: Mission64, ResolutionM: resM, EarlyDiscard: ed}
-	return core.SuDCsNeeded(w, s)
-}

@@ -72,16 +72,6 @@ func (f FailureModel) sampleLifetime(rng *rand.Rand) float64 {
 	return life
 }
 
-// MeanLifetimeYears estimates the expected device lifetime by sampling.
-func (f FailureModel) MeanLifetimeYears(samples int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	total := 0.0
-	for i := 0; i < samples; i++ {
-		total += f.sampleLifetime(rng)
-	}
-	return total / float64(samples)
-}
-
 // Config describes a fleet reliability run.
 type Config struct {
 	SuDCs          int

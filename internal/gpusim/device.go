@@ -13,11 +13,7 @@
 // for the AI 100 (18.25× the RTX 3090).
 package gpusim
 
-import (
-	"fmt"
-
-	"spacedc/internal/units"
-)
+import "spacedc/internal/units"
 
 // Device describes a compute device a SµDC (or EO satellite) could carry.
 type Device struct {
@@ -68,14 +64,4 @@ var (
 // Catalog lists all modeled devices.
 func Catalog() []Device {
 	return []Device{JetsonXavier, RTX3090, A100, H100, CloudAI100}
-}
-
-// DeviceByName finds a catalog device.
-func DeviceByName(name string) (Device, error) {
-	for _, d := range Catalog() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return Device{}, fmt.Errorf("gpusim: unknown device %q", name)
 }

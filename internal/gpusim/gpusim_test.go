@@ -2,12 +2,23 @@ package gpusim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"spacedc/internal/apps"
 	"spacedc/internal/units"
 )
+
+// deviceByName finds a catalog device.
+func deviceByName(name string) (Device, error) {
+	for _, d := range Catalog() {
+		if d.Name == name {
+			return d, nil
+		}
+	}
+	return Device{}, fmt.Errorf("gpusim: unknown device %q", name)
+}
 
 func TestTable6Coverage(t *testing.T) {
 	rows := Table6()
@@ -43,7 +54,7 @@ func TestMeasurementForUnknown(t *testing.T) {
 
 func TestModelReproducesTable6AtOptimalBatch(t *testing.T) {
 	for _, m := range Table6() {
-		dev, err := DeviceByName(m.Device)
+		dev, err := deviceByName(m.Device)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +106,7 @@ func TestEfficiencyCurveUnimodal(t *testing.T) {
 
 func TestPowerBoundedByTDP(t *testing.T) {
 	for _, m := range Table6() {
-		dev, _ := DeviceByName(m.Device)
+		dev, _ := deviceByName(m.Device)
 		model, err := NewModel(m.App, dev)
 		if err != nil {
 			t.Fatal(err)
@@ -205,10 +216,10 @@ func TestCatalogLookup(t *testing.T) {
 	if len(Catalog()) != 5 {
 		t.Errorf("catalog size %d, want 5", len(Catalog()))
 	}
-	if _, err := DeviceByName("RTX 3090"); err != nil {
+	if _, err := deviceByName("RTX 3090"); err != nil {
 		t.Error(err)
 	}
-	if _, err := DeviceByName("Cerebras"); err == nil {
+	if _, err := deviceByName("Cerebras"); err == nil {
 		t.Error("unknown device found")
 	}
 }

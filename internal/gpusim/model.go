@@ -28,7 +28,6 @@ type Model struct {
 	App    apps.Application
 	Device Device
 	cal    Measurement
-	derate float64 // thermal derate factor in (0,1]; 0 means 1 (none)
 }
 
 // NewModel builds a model for app on device. Devices without their own
@@ -66,29 +65,6 @@ func NewModel(id apps.ID, dev Device) (*Model, error) {
 // Calibration returns the operating point the model is anchored to.
 func (m *Model) Calibration() Measurement { return m.cal }
 
-// DerateFactor returns the thermal derate applied to the model (1 when
-// running at full capability).
-func (m *Model) DerateFactor() float64 {
-	if m.derate == 0 {
-		return 1
-	}
-	return m.derate
-}
-
-// Derated returns a copy of the model power-capped to fraction f of its
-// nominal board power — the thermal-throttling hook: board power scales by
-// f and the pixel rate follows, while energy per pixel is unchanged (the
-// standard first-order behaviour of GPU power capping). Factors compose:
-// m.Derated(0.5) on an already half-derated model yields a quarter.
-func (m *Model) Derated(f float64) (*Model, error) {
-	if f <= 0 || f > 1 || math.IsNaN(f) {
-		return nil, fmt.Errorf("gpusim: derate factor %v outside (0, 1]", f)
-	}
-	c := *m
-	c.derate = m.DerateFactor() * f
-	return &c, nil
-}
-
 // batchRatio converts a batch size to the normalized x = batch/b*.
 func (m *Model) batchRatio(batch float64) float64 {
 	if batch <= 0 {
@@ -107,15 +83,14 @@ func (m *Model) EnergyEfficiency(batch float64) float64 {
 	return m.cal.KPixelSW * 4 * x / ((1 + x) * (1 + x))
 }
 
-// Power returns the board power at the given batch size, after any
-// thermal derate.
+// Power returns the board power at the given batch size.
 func (m *Model) Power(batch float64) units.Power {
 	x := m.batchRatio(batch)
 	p := float64(m.Device.Idle) + (float64(m.cal.Power)-float64(m.Device.Idle))*2*x/(1+x)
 	if p > float64(m.Device.TDP) {
 		p = float64(m.Device.TDP)
 	}
-	return units.Power(p * m.DerateFactor())
+	return units.Power(p)
 }
 
 // Utilization returns the modeled device utilization in [0, 1].

@@ -1,14 +1,12 @@
 // Package groundstation models the Earth-side of the downlink problem: the
 // commercial Ground-Station-as-a-Service networks of the paper's Table 2,
-// representative station geometry for contact analysis, the per-revolution
-// downlink-deficit model of Fig 5, and the $3/min/channel cost model.
+// the per-revolution downlink-deficit model of Fig 5, and the
+// $3/min/channel cost model.
 package groundstation
 
 import (
 	"fmt"
-	"math"
 
-	"spacedc/internal/orbit"
 	"spacedc/internal/units"
 )
 
@@ -51,24 +49,6 @@ func TotalStations() int {
 		total += p.Total()
 	}
 	return total
-}
-
-// RepresentativeSites returns geodetic locations standing in for a global
-// GSaaS network — one or two per populated continent plus polar stations,
-// which is how real networks are laid out (high-latitude sites see polar
-// orbits every revolution).
-func RepresentativeSites() []orbit.Geodetic {
-	deg := math.Pi / 180
-	return []orbit.Geodetic{
-		{LatRad: 47.6 * deg, LonRad: -122.3 * deg}, // Seattle, N. America
-		{LatRad: -33.4 * deg, LonRad: -70.7 * deg}, // Santiago, S. America
-		{LatRad: 59.3 * deg, LonRad: 18.1 * deg},   // Stockholm, Europe
-		{LatRad: -25.9 * deg, LonRad: 27.7 * deg},  // Hartebeesthoek, Africa
-		{LatRad: 1.3 * deg, LonRad: 103.8 * deg},   // Singapore, Asia
-		{LatRad: -35.3 * deg, LonRad: 149.1 * deg}, // Canberra, Pacific
-		{LatRad: 78.2 * deg, LonRad: 15.4 * deg},   // Svalbard (polar)
-		{LatRad: -72.0 * deg, LonRad: 2.5 * deg},   // Troll, Antarctica (polar)
-	}
 }
 
 // CostPerChannelMinute is the going GSaaS rate the paper quotes for AWS,
@@ -149,22 +129,4 @@ func (pm PassModel) Budget(genRate units.DataRate, channelPasses float64) Revolu
 		DownlinkSeconds:  seconds,
 		Cost:             units.Money(minutes * float64(CostPerChannelMinute)),
 	}
-}
-
-// ChannelsForZeroDeficit returns the number of channel-passes per
-// revolution needed to downlink everything the satellite generates.
-func (pm PassModel) ChannelsForZeroDeficit(genRate units.DataRate) float64 {
-	perPass := pm.ChannelRate.Volume(pm.PassSeconds)
-	if perPass <= 0 {
-		return math.Inf(1)
-	}
-	gen := genRate.Volume(pm.PeriodSeconds)
-	return math.Ceil(float64(gen) / float64(perPass))
-}
-
-// ConstellationDailyCost returns the downlink bill for a constellation of n
-// satellites each running the given per-revolution budget, per day.
-func (pm PassModel) ConstellationDailyCost(b RevolutionBudget, n int) units.Money {
-	revsPerDay := 86400 / pm.PeriodSeconds
-	return units.Money(float64(b.Cost) * float64(n) * revsPerDay)
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // This file builds the ring/k-list networks explicitly — nodes, links, and
-// routed flows — and checks them against the closed-form capacity model.
-// The analytic SupportableEOSats formula says how many satellites a SµDC
-// can ingest; the network simulation shows *which* link saturates and what
-// every relay carries, which the co-design experiments need for power and
-// feasibility accounting.
+// routed flows. It is the reference the tests check the closed-form
+// capacity model against: the analytic SupportableEOSats formula says how
+// many satellites a SµDC can ingest; the explicit network shows *which*
+// link saturates and what every relay carries.
 
 // NodeKind distinguishes EO satellites from SµDCs in a network.
 type NodeKind int
@@ -97,28 +96,6 @@ func BuildCluster(n int, topo Topology, perSat, linkCap units.DataRate) (*Networ
 		}
 	}
 	return net, nil
-}
-
-// Graph returns independent copies of the node and link sets so consumers
-// (netsim's topology driver in particular) can build their own simulation
-// state from the routed topology without reaching into BuildCluster
-// internals or aliasing the network's slices.
-func (n *Network) Graph() ([]Node, []Link) {
-	nodes := make([]Node, len(n.Nodes))
-	copy(nodes, n.Nodes)
-	links := make([]Link, len(n.Links))
-	copy(links, n.Links)
-	return nodes, links
-}
-
-// OutLinks returns, for each node index, the indices into the link set of
-// that node's outgoing links — the adjacency view a router needs.
-func (n *Network) OutLinks() map[int][]int {
-	adj := make(map[int][]int, len(n.Nodes))
-	for i, l := range n.Links {
-		adj[l.From] = append(adj[l.From], i)
-	}
-	return adj
 }
 
 // MaxLinkLoad returns the heaviest link load — in a chain topology, always
@@ -208,15 +185,4 @@ func MaxSupportableBySimulation(topo Topology, perSat, linkCap units.DataRate, s
 		best = n
 	}
 	return best, nil
-}
-
-// LinkPower returns the total transmit power of all active links given the
-// plane geometry and link technology (each link's span fixes its length).
-func (n *Network) LinkPower(g PlaneGeometry, tech LinkTech) units.Power {
-	var total units.Power
-	for _, l := range n.Links {
-		d := g.HopDistanceKm(2 * l.SpanHops) // span in k-units: k/2 hops ↔ k
-		total += tech.TxPowerAt(d)
-	}
-	return total
 }

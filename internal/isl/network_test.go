@@ -128,78 +128,8 @@ func TestBuildClusterDegenerate(t *testing.T) {
 	}
 }
 
-func TestNetworkLinkPower(t *testing.T) {
-	g := OrbitSpacedGeometry(550, 64)
-	ring, err := BuildCluster(8, Ring, 100*units.Mbps, units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := BuildCluster(8, Topology{K: 4, Split: 1}, 100*units.Mbps, units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pRing := ring.LinkPower(g, Optical10G)
-	pFour := four.LinkPower(g, Optical10G)
-	// Same link count (8), but 4-list spans are 2× → ≈4× power.
-	ratio := float64(pFour) / float64(pRing)
-	if math.Abs(ratio-4) > 0.05 {
-		t.Errorf("4-list/ring power ratio %v, want ≈4", ratio)
-	}
-}
-
 func TestMaxSupportableRejectsBadRate(t *testing.T) {
 	if _, err := MaxSupportableBySimulation(Ring, 0, units.Gbps, 10); err == nil {
 		t.Error("zero rate accepted")
-	}
-}
-
-func TestGraphAccessorReturnsCopies(t *testing.T) {
-	net, err := BuildCluster(6, Ring, 100*units.Mbps, units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes, links := net.Graph()
-	if len(nodes) != len(net.Nodes) || len(links) != len(net.Links) {
-		t.Fatalf("graph accessor lost elements: %d/%d nodes, %d/%d links",
-			len(nodes), len(net.Nodes), len(links), len(net.Links))
-	}
-	// Mutating the copies must not touch the network.
-	nodes[0].Kind = EONode
-	links[0].Load = 0
-	if net.Nodes[0].Kind != SuDCNode {
-		t.Error("node copy aliased the network's node slice")
-	}
-	if net.Links[0].Load == 0 {
-		t.Error("link copy aliased the network's link slice")
-	}
-}
-
-func TestOutLinksCoversEveryEONode(t *testing.T) {
-	net, err := BuildCluster(7, Topology{K: 4, Split: 1}, 100*units.Mbps, units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj := net.OutLinks()
-	// Every EO satellite forwards on exactly one chain link; the SµDC
-	// originates nothing.
-	for _, n := range net.Nodes {
-		switch n.Kind {
-		case EONode:
-			if len(adj[n.Index]) != 1 {
-				t.Errorf("EO node %d has %d outgoing links, want 1", n.Index, len(adj[n.Index]))
-			}
-		case SuDCNode:
-			if len(adj[n.Index]) != 0 {
-				t.Errorf("SµDC has %d outgoing links, want 0", len(adj[n.Index]))
-			}
-		}
-	}
-	// Indices must point back into the link set consistently.
-	for from, idxs := range adj {
-		for _, i := range idxs {
-			if net.Links[i].From != from {
-				t.Errorf("adjacency index %d claims from=%d, link says %d", i, from, net.Links[i].From)
-			}
-		}
 	}
 }

@@ -138,6 +138,15 @@ func (sc Scenario) withDefaults() Scenario {
 // at 94 MiB peak RSS (2-vCPU Intel Xeon, Go 1.24.0).
 const MaxOfferedSegments = 1 << 24
 
+// MaxSteps caps a run's time steps, DurationSec / StepSec, and its epoch
+// boundaries, DurationSec / EpochSec. Run reads no context, so without it a
+// tiny step or epoch would hold a run, and a daemon admission slot, for
+// hours. It is 174× the largest step count any experiment, test, pin or
+// benchmark runs (6,000: 600 s at 0.1 s) and 17,476× the largest epoch
+// count (60). An 8-satellite ring at 1 Mbit/s runs 2^20 steps, each one an
+// epoch boundary, in 0.64 s (2-vCPU Intel Xeon, Go 1.24.0).
+const MaxSteps = 1 << 20
+
 // exactBits bounds the bit quantities a step works on: a source's credit,
 // a link's step budget and its queue limit. Below it, sums and differences
 // of whole-bit segment sizes are exact in float64, which is what lets the
@@ -145,10 +154,11 @@ const MaxOfferedSegments = 1 << 24
 const exactBits = 1 << 53
 
 // Validate checks the scenario after defaulting. Besides the signs and
-// ranges it bounds the load: the segment size is a whole number of bits,
-// the offered segments stay under MaxOfferedSegments, and the per-step bit
-// quantities stay under 2^53. An over-cap load is a *DesignError, so a
-// design search scores it infeasible instead of failing.
+// ranges it bounds the run: the steps and epochs stay under MaxSteps, the
+// segment size is a whole number of bits, the offered segments stay under
+// MaxOfferedSegments, and the per-step bit quantities stay under 2^53. An
+// over-cap load is a *DesignError, so a design search scores it infeasible
+// instead of failing.
 func (sc Scenario) Validate() error {
 	if err := sc.Topology.Validate(); err != nil {
 		return err
@@ -164,6 +174,10 @@ func (sc Scenario) Validate() error {
 		if !(v > 0) || math.IsInf(v, 1) {
 			return fmt.Errorf("netsim: step/duration/epoch %v/%v/%v not positive and finite", sc.StepSec, sc.DurationSec, sc.EpochSec)
 		}
+	}
+	if steps, epochs := sc.DurationSec/sc.StepSec, sc.DurationSec/sc.EpochSec; steps > MaxSteps || epochs > MaxSteps {
+		return fmt.Errorf("netsim: %v s at a %v s step and a %v s epoch is %.3g steps and %.3g epochs, over the %d-step ceiling",
+			sc.DurationSec, sc.StepSec, sc.EpochSec, steps, epochs, MaxSteps)
 	}
 	if !(sc.WarmupSec >= 0 && sc.WarmupSec < sc.DurationSec) {
 		return fmt.Errorf("netsim: warmup %v outside (0, duration %v)", sc.WarmupSec, sc.DurationSec)

@@ -218,6 +218,9 @@ func TestScenarioValidation(t *testing.T) {
 		ringWith(func(sc *Scenario) { sc.DurationSec = math.Inf(1) }),
 		ringWith(func(sc *Scenario) { sc.WarmupSec = math.NaN() }),
 		ringWith(func(sc *Scenario) { sc.WarmupSec = math.Inf(1) }),
+		// Steps and epochs must stay under MaxSteps.
+		ringWith(func(sc *Scenario) { sc.StepSec = 1e-9 }),
+		ringWith(func(sc *Scenario) { sc.EpochSec = 1e-9 }),
 		// Link budgets and queues must stay below 2^53 bits.
 		ringWith(func(sc *Scenario) { sc.Topology.Tech.Capacity = 1e17 }),
 		ringWith(func(sc *Scenario) { sc.Topology.Tech.Capacity = units.DataRate(math.NaN()) }),
@@ -247,10 +250,12 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("%s: error %v, want a load *DesignError", name, err)
 		}
 	}
-	// A 2^52-bit segment and the cap itself are accepted.
+	// A 2^52-bit segment and the caps themselves are accepted.
 	for name, sc := range map[string]Scenario{
 		"2^52-bit segments":       ringWith(func(sc *Scenario) { sc.SegmentBits = 1 << 52 }),
 		"exactly the segment cap": atSegmentCap(0),
+		"exactly the step cap":    ringWith(func(sc *Scenario) { sc.StepSec = sc.DurationSec / MaxSteps }),
+		"exactly the epoch cap":   ringWith(func(sc *Scenario) { sc.EpochSec = sc.DurationSec / MaxSteps }),
 	} {
 		if err := sc.withDefaults().Validate(); err != nil {
 			t.Errorf("%s rejected: %v", name, err)

@@ -103,7 +103,7 @@ type source struct {
 
 	// abandoned records, in ascending order, the sequence numbers the
 	// timeout path gave up on whose copies may still be in flight. It is
-	// what lets ack tell a late arrival of an abandoned segment (no
+	// what lets ackRun tell a late arrival of an abandoned segment (no
 	// earlier copy ever arrived — not a duplicate) from a true duplicate
 	// of a delivered one. An entry is removed when its first copy lands;
 	// entries whose copies were all dropped persist for the run, so the
@@ -111,20 +111,6 @@ type source struct {
 	// never with offered load, keeping transport memory-flat.
 	abandoned []int64
 }
-
-// ackResult classifies what a segment's arrival at a sink meant to its
-// source.
-type ackResult int
-
-const (
-	// ackDelivered: first copy to arrive, segment still outstanding.
-	ackDelivered ackResult = iota
-	// ackDuplicate: an earlier copy already arrived.
-	ackDuplicate
-	// ackLateAbandoned: first copy to arrive, but only after the source
-	// exhausted the attempt budget and abandoned the segment.
-	ackLateAbandoned
-)
 
 // newSource initializes the endpoint.
 func newSource(nodeID int, p *flowParams) source {
@@ -218,24 +204,6 @@ func (s *source) release(now float64, emit func(segRun)) {
 	s.seq += int64(n)
 	s.open(first, n, now, now+s.cfg.RTOSec)
 	emit(segRun{segment{flow: s.node, seq: first, bits: s.segmentBits, born: now}, n})
-}
-
-// ack records a copy's arrival at a sink. The first copy of an
-// outstanding segment is a delivery; a copy of a segment the timeout path
-// already abandoned is a late-after-abandon arrival (no earlier copy made
-// it — the old bool API misfiled these as duplicates once trim popped the
-// window slot); anything else is a true duplicate. A late-after-abandon
-// arrival consumes the abandoned record, so further copies of the same
-// segment count as duplicates of it.
-func (s *source) ack(seq int64) ackResult {
-	delivered, late, _ := s.ackRun(segRun{segment{seq: seq}, 1})
-	switch {
-	case delivered > 0:
-		return ackDelivered
-	case late > 0:
-		return ackLateAbandoned
-	}
-	return ackDuplicate
 }
 
 // ackRun acks the segments of a run that reached a sink and returns how

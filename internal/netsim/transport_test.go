@@ -5,6 +5,37 @@ import (
 	"testing"
 )
 
+// ackResult classifies what a segment's arrival at a sink meant to its
+// source.
+type ackResult int
+
+const (
+	// ackDelivered: first copy to arrive, segment still outstanding.
+	ackDelivered ackResult = iota
+	// ackDuplicate: an earlier copy already arrived.
+	ackDuplicate
+	// ackLateAbandoned: first copy to arrive, but only after the source
+	// exhausted the attempt budget and abandoned the segment.
+	ackLateAbandoned
+)
+
+// ack records one copy's arrival at a sink through ackRun. The first copy
+// of an outstanding segment is a delivery; a copy of a segment the timeout
+// path already abandoned is a late-after-abandon arrival (no earlier copy
+// made it); anything else is a true duplicate. A late-after-abandon
+// arrival consumes the abandoned record, so further copies of the same
+// segment count as duplicates of it.
+func (s *source) ack(seq int64) ackResult {
+	delivered, late, _ := s.ackRun(segRun{segment{seq: seq}, 1})
+	switch {
+	case delivered > 0:
+		return ackDelivered
+	case late > 0:
+		return ackLateAbandoned
+	}
+	return ackDuplicate
+}
+
 // TestWindowRetransmitsLiveStretches drives one source's window through
 // partial acks, timeouts, a satellite outage and abandonment. A group's
 // live segments share one timer, so a timeout retransmits exactly the

@@ -135,7 +135,7 @@ func FuzzObserveN(f *testing.F) {
 		for k := 0; k < int(n); k++ {
 			single.Observe(v)
 		}
-		if b, s := batched.Sum(), single.Sum(); !sameFloat(b, s) {
+		if b, s := batched.snapshot("").Sum, single.snapshot("").Sum; !sameFloat(b, s) {
 			t.Fatalf("ObserveN(%v, %d) after %v: sum %v, %d Observe calls give %v", v, n, x, b, n, s)
 		}
 	})

@@ -236,16 +236,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the running sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Mean returns the sample mean (zero when empty or nil).
 func (h *Histogram) Mean() float64 {
 	if h == nil {
@@ -257,19 +247,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation (zero when empty or nil).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest observation (zero when empty or nil).

@@ -88,9 +88,15 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 }
 
+// funcSink adapts a function to Sink.
+type funcSink func(Event)
+
+// Emit implements Sink.
+func (f funcSink) Emit(e Event) { f(e) }
+
 func TestSimClockSpansAreDeterministic(t *testing.T) {
 	var events []Event
-	r := New(WithSink(SinkFunc(func(e Event) { events = append(events, e) })))
+	r := New(WithSink(funcSink(func(e Event) { events = append(events, e) })))
 	r.SetTime(10)
 	sp := r.StartSpan("phase")
 	r.SetTime(12.5)
@@ -100,7 +106,7 @@ func TestSimClockSpansAreDeterministic(t *testing.T) {
 	if len(events) != 1 || events[0].Kind != "span" || events[0].Value != 2.5 || events[0].TimeSec != 12.5 {
 		t.Errorf("span event = %+v, want span/2.5 at t=12.5", events)
 	}
-	if h := r.Histogram("phase", TimeBuckets); h.Count() != 1 || h.Sum() != 2.5 {
+	if h := r.Histogram("phase", TimeBuckets); h.Count() != 1 || h.snapshot("").Sum != 2.5 {
 		t.Error("span did not land in its histogram")
 	}
 }

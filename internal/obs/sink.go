@@ -112,15 +112,6 @@ func (s *JSONLSink) Err() error {
 	return s.err
 }
 
-// funcSink adapts a function to Sink (tests, fan-out).
-type funcSink func(Event)
-
-// Emit implements Sink.
-func (f funcSink) Emit(e Event) { f(e) }
-
-// SinkFunc wraps fn as a Sink.
-func SinkFunc(fn func(Event)) Sink { return funcSink(fn) }
-
 // WriteText renders every metric as an aligned text table: counters and
 // gauges as name/value pairs, histograms with count, mean, p50, p95, min,
 // and max. Rows are sorted by name so output is diffable.

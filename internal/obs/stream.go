@@ -88,17 +88,6 @@ func (r *Registry) DroppedEvents() int64 {
 	return r.stream.dropped.Load()
 }
 
-// Subscribers reports the number of live subscriptions (zero on nil).
-func (r *Registry) Subscribers() int {
-	if r == nil {
-		return 0
-	}
-	if subs := r.stream.subs.Load(); subs != nil {
-		return len(*subs)
-	}
-	return 0
-}
-
 // deliver fans one event out to every live subscription, dropping on full
 // buffers. Callers have already checked the set is non-nil.
 func (s *subscriberSet) deliver(e Event) {

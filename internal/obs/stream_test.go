@@ -8,6 +8,17 @@ import (
 	"testing"
 )
 
+// subscribers reports the number of live subscriptions (zero on nil).
+func subscribers(r *Registry) int {
+	if r == nil {
+		return 0
+	}
+	if subs := r.stream.subs.Load(); subs != nil {
+		return len(*subs)
+	}
+	return 0
+}
+
 // TestJSONLSinkConcurrentHammer drives one sink from many goroutines with
 // interleaved Emit, Flush, and a final Close — the sharing pattern of a
 // daemon whose HTTP handlers and pool workers write into one registry. Run
@@ -87,13 +98,13 @@ func TestSubscribeReceivesEmits(t *testing.T) {
 	default:
 		t.Fatal("no event delivered")
 	}
-	if n := r.Subscribers(); n != 1 {
-		t.Errorf("Subscribers = %d, want 1", n)
+	if n := subscribers(r); n != 1 {
+		t.Errorf("subscribers = %d, want 1", n)
 	}
 	cancel()
 	cancel() // idempotent
-	if n := r.Subscribers(); n != 0 {
-		t.Errorf("Subscribers after cancel = %d, want 0", n)
+	if n := subscribers(r); n != 0 {
+		t.Errorf("subscribers after cancel = %d, want 0", n)
 	}
 	r.Emit("netsim.queue_bits", "sample", 8)
 	select {
@@ -192,8 +203,8 @@ func TestSubscribeConcurrentWithEmit(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if n := r.Subscribers(); n != 0 {
-		t.Errorf("Subscribers = %d, want 0", n)
+	if n := subscribers(r); n != 0 {
+		t.Errorf("subscribers = %d, want 0", n)
 	}
 }
 
@@ -206,7 +217,7 @@ func TestNilRegistrySubscribe(t *testing.T) {
 		t.Error("nil registry returned a live channel")
 	}
 	cancel()
-	if r.Subscribers() != 0 {
+	if subscribers(r) != 0 {
 		t.Error("nil registry has subscribers")
 	}
 }

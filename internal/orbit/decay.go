@@ -1,9 +1,6 @@
 package orbit
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file models atmospheric drag and the maneuvers it forces on SµDC
 // operators (§9): station-keeping boost budgets at LEO, orbital lifetime
@@ -63,17 +60,6 @@ type DragBody struct {
 	MassKg float64
 	AreaM2 float64 // cross-sectional area normal to velocity
 	Cd     float64 // drag coefficient; 0 means the standard 2.2
-}
-
-// Validate checks the body.
-func (b DragBody) Validate() error {
-	if b.MassKg <= 0 || b.AreaM2 <= 0 {
-		return fmt.Errorf("orbit: non-positive drag mass %v or area %v", b.MassKg, b.AreaM2)
-	}
-	if b.Cd < 0 {
-		return fmt.Errorf("orbit: negative drag coefficient %v", b.Cd)
-	}
-	return nil
 }
 
 // cd returns the effective drag coefficient.

@@ -31,18 +31,6 @@ var sudcBody = DragBody{MassKg: 2000, AreaM2: 40}
 var cubesatBody = DragBody{MassKg: 4, AreaM2: 0.03}
 
 func TestDragBodyValidate(t *testing.T) {
-	if err := sudcBody.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if (DragBody{MassKg: 0, AreaM2: 1}).Validate() == nil {
-		t.Error("zero mass accepted")
-	}
-	if (DragBody{MassKg: 1, AreaM2: -1}).Validate() == nil {
-		t.Error("negative area accepted")
-	}
-	if (DragBody{MassKg: 1, AreaM2: 1, Cd: -2}).Validate() == nil {
-		t.Error("negative Cd accepted")
-	}
 	// Default Cd is 2.2.
 	if bc := (DragBody{MassKg: 1, AreaM2: 1}).BallisticCoefficient(); math.Abs(bc-2.2) > 1e-12 {
 		t.Errorf("default ballistic coefficient = %v, want 2.2", bc)

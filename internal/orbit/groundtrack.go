@@ -41,20 +41,6 @@ func (p J2Propagator) State(t time.Time) (State, error) {
 	return p.Elements.StateAtJ2(t), nil
 }
 
-// TwoBodyPropagator adapts Elements to the Propagator interface using pure
-// Keplerian propagation (no perturbations).
-type TwoBodyPropagator struct {
-	Elements Elements
-}
-
-// State implements Propagator.
-func (p TwoBodyPropagator) State(t time.Time) (State, error) {
-	if err := p.Elements.Validate(); err != nil {
-		return State{}, err
-	}
-	return p.Elements.StateAt(t), nil
-}
-
 // State implements Propagator for SGP4.
 func (p *SGP4) State(t time.Time) (State, error) { return p.StateAt(t) }
 

@@ -26,10 +26,6 @@ type State struct {
 	Velocity vecmath.Vec3 // km/s
 }
 
-// AltitudeKm returns the geocentric altitude of the state above the
-// spherical Earth, in km.
-func (s State) AltitudeKm() float64 { return s.Position.Norm() - EarthRadiusKm }
-
 // ErrNotElliptical is returned when an operation requires a closed orbit.
 var ErrNotElliptical = errors.New("orbit: eccentricity must be in [0, 1)")
 
@@ -84,11 +80,6 @@ func (el Elements) Period() time.Duration {
 // PerigeeAltKm returns the perigee altitude above the spherical Earth.
 func (el Elements) PerigeeAltKm() float64 {
 	return el.SemiMajorKm*(1-el.Eccentricity) - EarthRadiusKm
-}
-
-// ApogeeAltKm returns the apogee altitude above the spherical Earth.
-func (el Elements) ApogeeAltKm() float64 {
-	return el.SemiMajorKm*(1+el.Eccentricity) - EarthRadiusKm
 }
 
 // Validate checks the element set for physical plausibility.

@@ -299,6 +299,3 @@ func (p *SGP4) StateAt(t time.Time) (State, error) {
 	tsince := t.Sub(p.tle.Epoch).Minutes()
 	return p.PropagateMinutes(tsince)
 }
-
-// TLE returns the element set the propagator was initialized from.
-func (p *SGP4) TLE() TLE { return p.tle }

@@ -117,22 +117,3 @@ func EclipseFraction(el Elements, start time.Time, span, step time.Duration) flo
 	}
 	return float64(dark) / float64(total)
 }
-
-// DailyEclipseMinutes returns minutes of eclipse (umbra or penumbra) during
-// the 24 h starting at day0, sampled at the given step.
-func DailyEclipseMinutes(el Elements, day0 time.Time, step time.Duration) float64 {
-	frac := EclipseFraction(el, day0, 24*time.Hour, step)
-	return frac * 24 * 60
-}
-
-// BetaAngleRad returns the solar beta angle: the angle between the orbital
-// plane and the Earth–Sun vector. Orbits with |β| above the critical value
-// never enter eclipse.
-func BetaAngleRad(el Elements, t time.Time) float64 {
-	sun := SunPositionECI(t).Unit()
-	// Orbit normal in ECI.
-	normal := vecmath.RotZ(el.RAANRad).
-		Mul(vecmath.RotX(el.InclinationRad)).
-		MulVec(vecmath.Vec3{Z: 1})
-	return math.Pi/2 - normal.AngleTo(sun)
-}

@@ -86,13 +86,13 @@ func TestGEOEclipseSeasonal(t *testing.T) {
 	solstice := time.Date(2026, 6, 21, 0, 0, 0, 0, time.UTC)
 
 	geo := Geostationary(0, equinox)
-	atEquinox := DailyEclipseMinutes(geo, equinox, 2*time.Minute)
+	atEquinox := EclipseFraction(geo, equinox, 24*time.Hour, 2*time.Minute) * 24 * 60
 	if atEquinox < 20 || atEquinox > 90 {
 		t.Errorf("GEO equinox eclipse = %v min/day, want ≈70", atEquinox)
 	}
 
 	geoS := Geostationary(0, solstice)
-	atSolstice := DailyEclipseMinutes(geoS, solstice, 2*time.Minute)
+	atSolstice := EclipseFraction(geoS, solstice, 24*time.Hour, 2*time.Minute) * 24 * 60
 	if atSolstice != 0 {
 		t.Errorf("GEO solstice eclipse = %v min/day, want 0", atSolstice)
 	}
@@ -112,10 +112,6 @@ func TestHighBetaOrbitNoEclipse(t *testing.T) {
 	if frac > 0.05 {
 		t.Errorf("dawn-dusk SSO eclipse fraction = %v, want ≈0", frac)
 	}
-	beta := math.Abs(BetaAngleRad(el, epoch))
-	if beta < 60*math.Pi/180 {
-		t.Errorf("dawn-dusk beta angle = %v°, want > 60°", beta*180/math.Pi)
-	}
 }
 
 func TestEclipseFractionDegenerate(t *testing.T) {
@@ -125,14 +121,5 @@ func TestEclipseFractionDegenerate(t *testing.T) {
 	}
 	if got := EclipseFraction(el, testEpoch, time.Hour, 0); got != 0 {
 		t.Errorf("zero step should give 0, got %v", got)
-	}
-}
-
-func TestBetaAngleEquatorialAtEquinox(t *testing.T) {
-	// Equatorial orbit at equinox: sun is in the orbital plane → β ≈ 0.
-	epoch := time.Date(2026, 3, 20, 12, 0, 0, 0, time.UTC)
-	el := CircularLEO(550, 0, 0, 0, epoch)
-	if b := math.Abs(BetaAngleRad(el, epoch)); b > 2*math.Pi/180 {
-		t.Errorf("equatorial equinox beta = %v°, want ≈0", b*180/math.Pi)
 	}
 }

@@ -65,14 +65,3 @@ func ECIToECEF(p vecmath.Vec3, t time.Time) vecmath.Vec3 {
 		Z: p.Z,
 	}
 }
-
-// ECEFToECI rotates an ECEF position to ECI at time t.
-func ECEFToECI(p vecmath.Vec3, t time.Time) vecmath.Vec3 {
-	g := GMST(t)
-	c, s := math.Cos(g), math.Sin(g)
-	return vecmath.Vec3{
-		X: c*p.X - s*p.Y,
-		Y: s*p.X + c*p.Y,
-		Z: p.Z,
-	}
-}

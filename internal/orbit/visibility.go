@@ -1,10 +1,6 @@
 package orbit
 
-import (
-	"time"
-
-	"spacedc/internal/vecmath"
-)
+import "time"
 
 // Window is a contiguous interval during which a visibility condition holds.
 type Window struct {
@@ -102,84 +98,6 @@ func GroundStationVisibility(prop Propagator, site Geodetic, minElevRad float64)
 	}
 }
 
-// InterSatelliteVisibility returns a Condition that is true when the two
-// satellites have line of sight not blocked by Earth (plus the atmospheric
-// grazing margin grazeKm).
-func InterSatelliteVisibility(a, b Propagator, grazeKm float64) Condition {
-	return func(t time.Time) (bool, error) {
-		sa, err := a.State(t)
-		if err != nil {
-			return false, err
-		}
-		sb, err := b.State(t)
-		if err != nil {
-			return false, err
-		}
-		return LineOfSight(sa.Position, sb.Position, grazeKm), nil
-	}
-}
-
-// ContactStats summarizes ground-contact opportunity for one satellite and
-// a set of stations over an analysis span.
-type ContactStats struct {
-	Windows      []Window
-	TotalContact time.Duration
-	PerRevAvg    time.Duration // average contact time per orbital revolution
-}
-
-// ContactTime computes visibility windows from prop to each site (any site
-// counts — overlapping windows from different stations are merged) and
-// averages contact per revolution using the orbit period.
-func ContactTime(prop Propagator, sites []Geodetic, minElevRad float64, start time.Time, span time.Duration, period time.Duration) (ContactStats, error) {
-	var all []Window
-	for _, site := range sites {
-		w, err := FindWindows(GroundStationVisibility(prop, site, minElevRad), start, span, 30*time.Second, time.Second)
-		if err != nil {
-			return ContactStats{}, err
-		}
-		all = append(all, w...)
-	}
-	merged := MergeWindows(all)
-	var total time.Duration
-	for _, w := range merged {
-		total += w.Duration()
-	}
-	revs := float64(span) / float64(period)
-	stats := ContactStats{Windows: merged, TotalContact: total}
-	if revs > 0 {
-		stats.PerRevAvg = time.Duration(float64(total) / revs)
-	}
-	return stats, nil
-}
-
-// MergeWindows merges overlapping or touching windows and returns them
-// sorted by start time.
-func MergeWindows(ws []Window) []Window {
-	if len(ws) == 0 {
-		return nil
-	}
-	sorted := make([]Window, len(ws))
-	copy(sorted, ws)
-	// Insertion sort: window lists are short.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].Start.Before(sorted[j-1].Start); j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	out := []Window{sorted[0]}
-	for _, w := range sorted[1:] {
-		last := &out[len(out)-1]
-		if !w.Start.After(last.End) {
-			if w.End.After(last.End) {
-				last.End = w.End
-			}
-			continue
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
 // CoverageGap reports the longest interval within [start, start+span] in
 // which cond is false, scanning at the given step (no refinement). A zero
 // result means cond held at every sample.
@@ -225,26 +143,4 @@ func AnyVisible(observer Propagator, targets []Propagator, grazeKm float64) Cond
 		}
 		return false, nil
 	}
-}
-
-// SlantRangeKm returns the instantaneous distance between two propagators'
-// satellites at time t, in km.
-func SlantRangeKm(a, b Propagator, t time.Time) (float64, error) {
-	sa, err := a.State(t)
-	if err != nil {
-		return 0, err
-	}
-	sb, err := b.State(t)
-	if err != nil {
-		return 0, err
-	}
-	return sa.Position.DistanceTo(sb.Position), nil
-}
-
-// FixedPoint is a Propagator for a motionless ECI point — useful in tests.
-type FixedPoint struct{ Pos vecmath.Vec3 }
-
-// State implements Propagator.
-func (f FixedPoint) State(time.Time) (State, error) {
-	return State{Position: f.Pos}, nil
 }

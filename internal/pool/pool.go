@@ -58,17 +58,11 @@ func New(budget int) *Pool {
 // sweeps nest inside experiments.
 var shared = New(-1)
 
-// Map runs fn over job IDs 0..n-1 and returns the lowest-ID error (nil when
-// every job succeeded). See MapObs for the scheduling contract.
-func (p *Pool) Map(n, slots int, fn func(id int) error) error {
-	return p.MapObs(n, slots, nil, "", fn)
-}
-
-// MapObs is Map with per-worker observability: each execution slot records
-// its wall-clock job timings into "<prefix>.workerNN.run_secs" and its
-// completed-job count into "<prefix>.workerNN.runs", exposing pool
-// imbalance exactly like the pre-pool sweep runners did. A nil registry
-// makes MapObs identical to Map.
+// MapObs runs fn over job IDs 0..n-1 and returns the lowest-ID error (nil
+// when every job succeeded). Each execution slot records its wall-clock job
+// timings into "<prefix>.workerNN.run_secs" and its completed-job count into
+// "<prefix>.workerNN.runs", exposing pool imbalance exactly like the
+// pre-pool sweep runners did. A nil registry records nothing.
 //
 // slots caps this Map's concurrency: slot 0 is the calling goroutine, which
 // always participates, and slots 1..slots-1 are helper goroutines spawned

@@ -11,6 +11,11 @@ import (
 	"spacedc/internal/obs"
 )
 
+// Map runs fn over job IDs 0..n-1 on p without observability.
+func (p *Pool) Map(n, slots int, fn func(id int) error) error {
+	return p.MapObs(n, slots, nil, "", fn)
+}
+
 // collect runs an n-job Map on p that writes id*id into its own slot and
 // returns the slots, the shape every pool caller relies on.
 func collect(t *testing.T, p *Pool, n, slots int) []int {

@@ -127,15 +127,6 @@ func (a *Admission) Admit(t float64, class int, scale float64) bool {
 	return true
 }
 
-// TotalRatePerSec is the aggregate sustained admission capacity.
-func (a *Admission) TotalRatePerSec() float64 {
-	sum := 0.0
-	for _, p := range a.pol {
-		sum += p.RatePerSec
-	}
-	return sum
-}
-
 // RetryPolicy bounds re-submission of shed or failed requests:
 // exponential backoff with jitter, a total-attempts cap, and a bounded
 // pending queue so retries cannot themselves become an overload amplifier.

@@ -8,6 +8,15 @@ import (
 	"spacedc/internal/obs"
 )
 
+// totalRatePerSec is the aggregate sustained admission capacity.
+func totalRatePerSec(a *Admission) float64 {
+	sum := 0.0
+	for _, p := range a.pol {
+		sum += p.RatePerSec
+	}
+	return sum
+}
+
 func TestAdmissionTokenBucket(t *testing.T) {
 	a, err := NewAdmission([]ClassPolicy{{RatePerSec: 10, Burst: 5}})
 	if err != nil {
@@ -42,8 +51,8 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("10 s refill admitted %d, want burst-capped 5", n)
 	}
-	if got := a.TotalRatePerSec(); got != 10 {
-		t.Fatalf("TotalRatePerSec = %v, want 10", got)
+	if got := totalRatePerSec(a); got != 10 {
+		t.Fatalf("totalRatePerSec = %v, want 10", got)
 	}
 }
 
@@ -212,7 +221,7 @@ func TestPresetPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s admission: %v", name, err)
 		}
-		if got := a.TotalRatePerSec(); math.Abs(got-100) > 1e-9 {
+		if got := totalRatePerSec(a); math.Abs(got-100) > 1e-9 {
 			t.Errorf("%s: aggregate admission %v, want 100", name, got)
 		}
 	}

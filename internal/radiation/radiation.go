@@ -149,15 +149,6 @@ var (
 	COTSGPU = Part{Name: "COTS GPU", ToleranceKrad: 20, RadHard: false}
 )
 
-// SurvivalYears returns how long the part's dose budget lasts at altKm.
-func (p Part) SurvivalYears(altKm float64) float64 {
-	rate := DoseRateKradPerYear(altKm)
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return p.ToleranceKrad / rate
-}
-
 // Mitigation is an operational radiation strategy for SµDC compute.
 type Mitigation int
 
@@ -173,21 +164,6 @@ const (
 	// RadHardParts uses qualified components throughout.
 	RadHardParts
 )
-
-// AllMitigations returns every mitigation in increasing cost order.
-func AllMitigations() []Mitigation {
-	return []Mitigation{COTSWithSAAPause, COTSWithSoftwareHardening, Redundancy, RadHardParts}
-}
-
-// ParseMitigation inverts String.
-func ParseMitigation(s string) (Mitigation, error) {
-	for _, m := range AllMitigations() {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("radiation: unknown mitigation %q", s)
-}
 
 // String names the mitigation.
 func (m Mitigation) String() string {

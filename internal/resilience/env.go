@@ -67,9 +67,6 @@ func (tr *EnvTrace) SunlitAt(t float64) bool { return tr.Sunlit[tr.index(t)] }
 // SAAFraction returns the share of trace samples inside the anomaly.
 func (tr *EnvTrace) SAAFraction() float64 { return fraction(tr.InSAA, true) }
 
-// EclipseFraction returns the share of trace samples in Earth's shadow.
-func (tr *EnvTrace) EclipseFraction() float64 { return fraction(tr.Sunlit, false) }
-
 // fraction counts the share of samples equal to want.
 func fraction(xs []bool, want bool) float64 {
 	if len(xs) == 0 {

@@ -51,7 +51,7 @@ func TestEnvTraceRegimes(t *testing.T) {
 		t.Errorf("SSO fraction %v should exceed ISS %v", sso.SAAFraction(), iss.SAAFraction())
 	}
 	// A ~90 min LEO spends roughly a third of each orbit in shadow.
-	if f := iss.EclipseFraction(); f < 0.2 || f > 0.5 {
+	if f := fraction(iss.Sunlit, false); f < 0.2 || f > 0.5 {
 		t.Errorf("ISS eclipse fraction %v outside [0.2, 0.5]", f)
 	}
 }

@@ -188,9 +188,6 @@ func (g *Governor) KeepFactor(t float64) float64 {
 	return keep
 }
 
-// StoredJ exposes the buffered thermal energy (for tests and reports).
-func (g *Governor) StoredJ() float64 { return g.storedJ }
-
 // Reset returns the governor to its cold initial state (instrumentation
 // handles and their accumulated counts stay attached).
 func (g *Governor) Reset() {

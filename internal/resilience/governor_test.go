@@ -89,8 +89,8 @@ func TestGovernorDerateAndRecovery(t *testing.T) {
 	if f := g.Factor(11); f < 1-1e-12 {
 		t.Errorf("factor %v after drain, want full recovery", f)
 	}
-	if g.StoredJ() > 1e-9 {
-		t.Errorf("stored %v J after drain, want ~0", g.StoredJ())
+	if g.storedJ > 1e-9 {
+		t.Errorf("stored %v J after drain, want ~0", g.storedJ)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestGovernorDayNightCapacity(t *testing.T) {
 		g.SunlitFactor = 0.8
 		g.Dissipated(0, 1, 6e3)
 		g.Factor(11) // advance 10 s of draining
-		return g.StoredJ()
+		return g.storedJ
 	}
 	sunlit, eclipse := charge(day), charge(night)
 	if eclipse >= sunlit {

@@ -146,9 +146,6 @@ func (s *Server) Drain() {
 	s.drainOnce.Do(func() { close(s.draining) })
 }
 
-// Registry exposes the daemon's own metrics registry (serve.* namespace).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // evalResponse is the POST /v1/eval (and GET /v1/results/{key}) body. It
 // is built only from deterministic inputs — the canonical spec, the
 // rendered tables, and (for simulator scenarios) the run's sim-clock

@@ -1,9 +1,8 @@
 // Package thermal models the heat rejection problem §9 flags as a key
 // SµDC design consideration: kilowatts of compute dissipation must leave
 // the spacecraft by radiation alone. It sizes radiator area via
-// Stefan–Boltzmann, counts heat-pipe transport capacity, estimates
-// thermoelectric recovery from the waste stream, and computes panel
-// equilibrium temperatures under solar load.
+// Stefan–Boltzmann, counts heat-pipe transport capacity, and estimates
+// thermoelectric recovery from the waste stream.
 package thermal
 
 import (
@@ -17,8 +16,6 @@ import (
 const (
 	// StefanBoltzmann is σ in W/(m²·K⁴).
 	StefanBoltzmann = 5.670374419e-8
-	// SolarFluxWM2 is the solar constant at 1 AU.
-	SolarFluxWM2 = 1361.0
 	// DeepSpaceSinkK is the effective sink temperature of a radiator
 	// viewing deep space.
 	DeepSpaceSinkK = 3.0
@@ -135,29 +132,6 @@ func (t ThermoelectricRecovery) Efficiency() float64 {
 // Recovered returns the electric power recovered from the waste load.
 func (t ThermoelectricRecovery) Recovered(waste units.Power) units.Power {
 	return units.Power(float64(waste) * t.Efficiency())
-}
-
-// EquilibriumTempK returns the steady-state temperature of a flat panel
-// with the given absorptivity α and emissivity ε, absorbing solar flux on
-// one face (when sunlit) plus internal dissipation, radiating from both
-// faces to deep space: (α·S + P/A) = 2·ε·σ·T⁴. Degenerate surfaces (ε
-// outside (0, 1], α outside [0, 1], negative or non-finite dissipation)
-// are rejected rather than silently reported as 0 K.
-func EquilibriumTempK(absorptivity, emissivity float64, internalWM2 float64, sunlit bool) (float64, error) {
-	if emissivity <= 0 || emissivity > 1 || math.IsNaN(emissivity) {
-		return 0, fmt.Errorf("thermal: emissivity %v outside (0, 1]", emissivity)
-	}
-	if absorptivity < 0 || absorptivity > 1 || math.IsNaN(absorptivity) {
-		return 0, fmt.Errorf("thermal: absorptivity %v outside [0, 1]", absorptivity)
-	}
-	if internalWM2 < 0 || math.IsNaN(internalWM2) || math.IsInf(internalWM2, 0) {
-		return 0, fmt.Errorf("thermal: invalid internal dissipation %v W/m²", internalWM2)
-	}
-	absorbed := internalWM2
-	if sunlit {
-		absorbed += absorptivity * SolarFluxWM2
-	}
-	return math.Pow(absorbed/(2*emissivity*StefanBoltzmann), 0.25), nil
 }
 
 // Budget sizes the whole rejection chain for a SµDC compute load.

@@ -118,62 +118,6 @@ func TestTEGRecovery(t *testing.T) {
 	}
 }
 
-func TestEquilibriumTemperature(t *testing.T) {
-	// A bare aluminum plate (α≈0.3, ε≈0.1) in sunlight runs hot; a white
-	// painted one (α≈0.25, ε≈0.85) runs much cooler. Spacecraft thermal
-	// design 101.
-	eq := func(alpha, eps, internal float64, sunlit bool) float64 {
-		t.Helper()
-		v, err := EquilibriumTempK(alpha, eps, internal, sunlit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	hotPlate := eq(0.3, 0.1, 0, true)
-	whitePlate := eq(0.25, 0.85, 0, true)
-	if hotPlate <= whitePlate {
-		t.Errorf("bare plate %v K should run hotter than white %v K", hotPlate, whitePlate)
-	}
-	if whitePlate < 150 || whitePlate > 300 {
-		t.Errorf("white plate equilibrium %v K implausible", whitePlate)
-	}
-	// Internal dissipation raises the eclipse temperature.
-	dark := eq(0.25, 0.85, 0, false)
-	powered := eq(0.25, 0.85, 300, false)
-	if powered <= dark {
-		t.Error("dissipation should warm the panel")
-	}
-}
-
-func TestEquilibriumTemperatureDegenerate(t *testing.T) {
-	bad := []struct {
-		name        string
-		alpha, eps  float64
-		internalWM2 float64
-	}{
-		{"zero emissivity", 0.3, 0, 100},
-		{"negative emissivity", 0.3, -0.1, 100},
-		{"emissivity above 1", 0.3, 1.5, 100},
-		{"NaN emissivity", 0.3, math.NaN(), 100},
-		{"negative absorptivity", -0.1, 0.85, 100},
-		{"absorptivity above 1", 1.2, 0.85, 100},
-		{"negative dissipation", 0.3, 0.85, -5},
-		{"infinite dissipation", 0.3, 0.85, math.Inf(1)},
-	}
-	for _, c := range bad {
-		if _, err := EquilibriumTempK(c.alpha, c.eps, c.internalWM2, true); err == nil {
-			t.Errorf("%s: want error", c.name)
-		}
-	}
-	// An unpowered panel in eclipse legitimately sits at 0 K in this
-	// two-sided deep-space model — that is not an error.
-	v, err := EquilibriumTempK(0.3, 0.85, 0, false)
-	if err != nil || v != 0 {
-		t.Errorf("dark unpowered panel: got %v, %v; want 0 K, nil", v, err)
-	}
-}
-
 func TestHeatPipeValidate(t *testing.T) {
 	if err := DefaultHeatPipe().Validate(); err != nil {
 		t.Fatal(err)

@@ -31,12 +31,6 @@ const (
 	Terabyte DataSize = 8e12
 )
 
-// Bits returns the size in bits.
-func (s DataSize) Bits() float64 { return float64(s) }
-
-// Bytes returns the size in bytes.
-func (s DataSize) Bytes() float64 { return float64(s) / 8 }
-
 // Over returns the constant data rate that transmits s in duration sec.
 func (s DataSize) Over(sec float64) DataRate {
 	if sec == 0 {
@@ -63,9 +57,6 @@ const (
 	Pbps          DataRate = 1e15
 	BytePerSecond DataRate = 8
 )
-
-// BitsPerSecond returns the rate in bit/s.
-func (r DataRate) BitsPerSecond() float64 { return float64(r) }
 
 // Transmit returns the time in seconds needed to move size at this rate.
 func (r DataRate) Transmit(size DataSize) float64 {
@@ -115,9 +106,6 @@ const (
 	KilowattHour Energy = 3.6e6
 )
 
-// Joules returns the energy in joules.
-func (e Energy) Joules() float64 { return float64(e) }
-
 // String formats the energy with an SI prefix, e.g. "3.6 MJ".
 func (e Energy) String() string { return siFormat(float64(e), "J") }
 
@@ -130,9 +118,6 @@ const (
 	Centimeter Length = 0.01
 	Kilometer  Length = 1e3
 )
-
-// Meters returns the length in meters.
-func (l Length) Meters() float64 { return float64(l) }
 
 // String formats lengths ≥ 1 km in km, sub-meter lengths in cm, else m.
 func (l Length) String() string {
@@ -165,24 +150,8 @@ const (
 	Degree Angle = math.Pi / 180
 )
 
-// Radians returns the angle in radians.
-func (a Angle) Radians() float64 { return float64(a) }
-
-// Degrees returns the angle in degrees.
-func (a Angle) Degrees() float64 { return float64(a) * 180 / math.Pi }
-
-// Normalize returns the angle wrapped into [0, 2π).
-func (a Angle) Normalize() Angle {
-	const twoPi = 2 * math.Pi
-	v := math.Mod(float64(a), twoPi)
-	if v < 0 {
-		v += twoPi
-	}
-	return Angle(v)
-}
-
 // String formats the angle in degrees.
-func (a Angle) String() string { return fmt.Sprintf("%.4g°", a.Degrees()) }
+func (a Angle) String() string { return fmt.Sprintf("%.4g°", float64(a)*180/math.Pi) }
 
 // Frequency is in hertz.
 type Frequency float64
@@ -195,15 +164,6 @@ const (
 	Gigahertz Frequency = 1e9
 	Terahertz Frequency = 1e12
 )
-
-// Wavelength returns the free-space wavelength for this frequency.
-func (f Frequency) Wavelength() Length {
-	const c = 299792458.0 // speed of light, m/s
-	if f == 0 {
-		return Length(math.Inf(1))
-	}
-	return Length(c / float64(f))
-}
 
 // String formats the frequency with an SI prefix, e.g. "8.2 GHz".
 func (f Frequency) String() string { return siFormat(float64(f), "Hz") }

@@ -14,18 +14,27 @@ func almostEqual(a, b, tol float64) bool {
 }
 
 func TestDataSizeConversions(t *testing.T) {
-	if got := (2 * Megabyte).Bits(); got != 16e6 {
+	if got := float64(2 * Megabyte); got != 16e6 {
 		t.Errorf("2 MB = %v bits, want 16e6", got)
 	}
-	if got := (16 * Megabit).Bytes(); got != 2e6 {
+	if got := 16 * Megabit / Byte; got != 2e6 {
 		t.Errorf("16 Mbit = %v bytes, want 2e6", got)
 	}
 }
 
+// TestDataSizeOver checks DataRate's Volume and Transmit against Over, the
+// rate that moves a size in a given time.
 func TestDataSizeOver(t *testing.T) {
-	r := (300 * Megabit).Over(1.5)
-	if got := r.BitsPerSecond(); got != 200e6 {
+	size := 300 * Megabit
+	r := size.Over(1.5)
+	if got := float64(r); got != 200e6 {
 		t.Errorf("300 Mbit over 1.5 s = %v bit/s, want 200e6", got)
+	}
+	if got := r.Volume(1.5); got != size {
+		t.Errorf("%v for 1.5 s moves %v, want %v", r, got, size)
+	}
+	if got := r.Transmit(size); got != 1.5 {
+		t.Errorf("%v takes %v s at %v, want 1.5", size, got, r)
 	}
 	if !math.IsInf(float64((1 * Gigabit).Over(0)), 1) {
 		t.Error("size over zero seconds should be +Inf rate")
@@ -55,7 +64,7 @@ func TestDataRateTransmitZero(t *testing.T) {
 
 func TestPowerEnergy(t *testing.T) {
 	e := (2 * Kilowatt).ForDuration(3600)
-	if got := e.Joules(); got != 7.2e6 {
+	if got := float64(e); got != 7.2e6 {
 		t.Errorf("2 kW for 1 h = %v J, want 7.2e6", got)
 	}
 	if got := float64(2 * KilowattHour); got != 7.2e6 {
@@ -64,49 +73,11 @@ func TestPowerEnergy(t *testing.T) {
 }
 
 func TestAngleConversions(t *testing.T) {
-	if got := (90 * Degree).Radians(); !almostEqual(got, math.Pi/2, 1e-15) {
+	if got := float64(90 * Degree); !almostEqual(got, math.Pi/2, 1e-15) {
 		t.Errorf("90° = %v rad, want π/2", got)
 	}
-	if got := Angle(math.Pi).Degrees(); !almostEqual(got, 180, 1e-15) {
-		t.Errorf("π rad = %v°, want 180", got)
-	}
-}
-
-func TestAngleNormalize(t *testing.T) {
-	cases := []struct {
-		in, want float64 // degrees
-	}{
-		{0, 0}, {360, 0}, {-90, 270}, {450, 90}, {720, 0}, {-720, 0},
-	}
-	for _, c := range cases {
-		got := (Angle(c.in) * Degree).Normalize().Degrees()
-		if !almostEqual(got, c.want, 1e-9) && !(c.want == 0 && math.Abs(got) < 1e-9) {
-			t.Errorf("Normalize(%v°) = %v°, want %v°", c.in, got, c.want)
-		}
-	}
-}
-
-func TestAngleNormalizeRange(t *testing.T) {
-	f := func(v float64) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-		n := Angle(v).Normalize().Radians()
-		return n >= 0 && n < 2*math.Pi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFrequencyWavelength(t *testing.T) {
-	// X-band 8 GHz → ~3.75 cm.
-	wl := (8 * Gigahertz).Wavelength()
-	if !almostEqual(wl.Meters(), 0.0374740, 1e-4) {
-		t.Errorf("8 GHz wavelength = %v m, want ≈0.03747", wl.Meters())
-	}
-	if !math.IsInf(Frequency(0).Wavelength().Meters(), 1) {
-		t.Error("zero frequency should have infinite wavelength")
+	if got := Angle(math.Pi).String(); got != "180°" {
+		t.Errorf("π rad = %q, want 180°", got)
 	}
 }
 

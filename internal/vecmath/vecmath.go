@@ -79,11 +79,6 @@ func (v Vec3) String() string {
 // Mat3 is a 3×3 matrix in row-major order.
 type Mat3 [3][3]float64
 
-// Identity returns the identity matrix.
-func Identity() Mat3 {
-	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
-
 // MulVec returns m·v.
 func (m Mat3) MulVec(v Vec3) Vec3 {
 	return Vec3{
@@ -106,17 +101,6 @@ func (m Mat3) Mul(n Mat3) Mat3 {
 	return out
 }
 
-// Transpose returns mᵀ. For rotation matrices this is the inverse.
-func (m Mat3) Transpose() Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = m[j][i]
-		}
-	}
-	return out
-}
-
 // RotX returns the rotation matrix for angle a (radians) about the X axis.
 // The matrix rotates vectors by +a following the right-hand rule.
 func RotX(a float64) Mat3 {
@@ -125,16 +109,6 @@ func RotX(a float64) Mat3 {
 		{1, 0, 0},
 		{0, c, -s},
 		{0, s, c},
-	}
-}
-
-// RotY returns the rotation matrix for angle a about the Y axis.
-func RotY(a float64) Mat3 {
-	c, s := math.Cos(a), math.Sin(a)
-	return Mat3{
-		{c, 0, s},
-		{0, 1, 0},
-		{-s, 0, c},
 	}
 }
 

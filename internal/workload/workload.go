@@ -237,24 +237,10 @@ func New(spec Spec) (*Generator, error) {
 	return g, nil
 }
 
-// Rate returns the instantaneous arrival rate at time t — the diurnal
-// sinusoid plus every burst's decayed contribution. It is independent of
-// the streaming state (reports and tests sample it freely).
-func (g *Generator) Rate(t float64) float64 {
-	sp := g.spec
-	r := sp.BaseRatePerSec * (1 + sp.DiurnalAmp*math.Sin(2*math.Pi*(t+sp.DiurnalPhaseSec)/sp.DiurnalPeriodSec))
-	for _, on := range g.onsets {
-		if on > t {
-			break
-		}
-		r += sp.BurstPeakPerSec * math.Exp(-(t-on)/sp.BurstDecaySec)
-	}
-	return r
-}
-
-// rateAt is the streaming-state evaluation of Rate: the burst sum decays
-// forward from its last evaluation instead of rescanning the onset list.
-// t must not decrease across calls.
+// rateAt returns the instantaneous arrival rate at time t: the diurnal
+// sinusoid plus every burst's decayed contribution. The burst sum decays
+// forward from its last evaluation instead of rescanning the onset list,
+// so t must not decrease across calls.
 func (g *Generator) rateAt(t float64) float64 {
 	sp := g.spec
 	g.burstSum *= math.Exp(-(t - g.burstLast) / sp.BurstDecaySec)
@@ -291,10 +277,6 @@ func (g *Generator) Next() (Request, bool) {
 
 // Classes returns the generator's (defaulted) class mix.
 func (g *Generator) Classes() []Class { return g.spec.Classes }
-
-// EnvelopeRate returns the thinning envelope — the exact upper bound on
-// the instantaneous rate over the run (useful for sizing admission).
-func (g *Generator) EnvelopeRate() float64 { return g.rmax }
 
 // MeanBits returns the share-weighted mean network payload per request.
 func (s Spec) MeanBits() float64 {

@@ -146,17 +146,22 @@ func TestGeneratorBurstSurge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := g.Rate(1799); math.Abs(r-50) > 1e-9 {
+	// rateAt advances streaming state, so probe it on a second generator.
+	probe, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := probe.rateAt(1799); math.Abs(r-50) > 1e-9 {
 		t.Errorf("pre-burst rate %v, want 50", r)
 	}
-	if r := g.Rate(1800); math.Abs(r-250) > 1e-9 {
+	if r := probe.rateAt(1800); math.Abs(r-250) > 1e-9 {
 		t.Errorf("onset rate %v, want 250", r)
 	}
-	if r := g.Rate(1800 + 120); math.Abs(r-(50+200/math.E)) > 1e-9 {
+	if r := probe.rateAt(1800 + 120); math.Abs(r-(50+200/math.E)) > 1e-9 {
 		t.Errorf("one-τ rate %v, want %v", r, 50+200/math.E)
 	}
-	if g.EnvelopeRate() < 250 {
-		t.Errorf("envelope %v below true peak 250", g.EnvelopeRate())
+	if g.rmax < 250 {
+		t.Errorf("envelope %v below true peak 250", g.rmax)
 	}
 	// The stream must realize the surge: arrivals in the burst's first τ
 	// vs the same-width window before it.
