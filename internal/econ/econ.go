@@ -23,8 +23,8 @@ import (
 	"spacedc/internal/units"
 )
 
-// Recovery-policy names the cost model knows how to price. They mirror
-// resilience.StandardPolicies.
+// Recovery-policy names the cost model knows how to price. They are the
+// names resilience.PolicyNamed resolves.
 const (
 	RecoveryNone       = "none"
 	RecoveryRetry      = "retry"

@@ -161,26 +161,6 @@ func NewEvaluator(cfg EvalConfig, space Space) (*Evaluator, error) {
 	return ev, nil
 }
 
-// policyFor maps an econ recovery name onto the resilience policy it
-// prices.
-func policyFor(name string) (resilience.Policy, error) {
-	switch name {
-	case econ.RecoveryNone:
-		return resilience.Policy{Name: name}, nil
-	case econ.RecoveryRetry:
-		return resilience.Policy{Name: name, Recovery: resilience.Retry{}}, nil
-	case econ.RecoveryCheckpoint:
-		return resilience.Policy{Name: name, Recovery: resilience.Checkpoint{CheckpointSec: 1, RestartSec: 1}}, nil
-	case econ.RecoveryDMR:
-		return resilience.Policy{Name: name, Recovery: resilience.Replicated{N: 2}}, nil
-	case econ.RecoveryTMR:
-		return resilience.Policy{Name: name, Recovery: resilience.Replicated{N: 3}}, nil
-	case econ.RecoverySAAPause:
-		return resilience.Policy{Name: name, Recovery: resilience.Retry{}, PauseInSAA: true}, nil
-	}
-	return resilience.Policy{}, fmt.Errorf("optimize: unknown recovery policy %q", name)
-}
-
 // Key canonicalizes a design for caching and seeding: two equal designs
 // always share evaluation randomness, so scores are content-addressed.
 // Multi-shell designs append a suffix; single-shell keys are unchanged, so
@@ -289,7 +269,7 @@ func (ev *Evaluator) Evaluate(d econ.Design) (Score, error) {
 	if err != nil {
 		return Score{}, err
 	}
-	pol, err := policyFor(d.Recovery)
+	pol, err := resilience.PolicyNamed(d.Recovery)
 	if err != nil {
 		return Score{}, err
 	}

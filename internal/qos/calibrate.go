@@ -36,7 +36,7 @@ func CalibrateNetwork(base netsim.Scenario) (NetworkConfig, error) {
 	if cfg.CapacityBps <= 0 {
 		return NetworkConfig{}, fmt.Errorf("qos: saturated run delivered nothing (%v)", sr.DeliveredRate)
 	}
-	return cfg.withDefaults(), nil
+	return cfg, nil
 }
 
 // Preset policy names accepted by PresetPolicy (and the sudcsimd workload

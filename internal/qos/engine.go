@@ -22,53 +22,42 @@ type NetworkConfig struct {
 	// BaseLatencySec is the uncongested delivery latency added to every
 	// completed request (propagation + store-and-forward floor).
 	BaseLatencySec float64
-	// QueueBits caps the transfer backlog; arrivals beyond it are shed as
-	// overflow. Zero means 5 s × CapacityBps.
-	QueueBits float64
 }
 
-// withDefaults fills zero fields.
-func (n NetworkConfig) withDefaults() NetworkConfig {
-	if n.QueueBits == 0 {
-		n.QueueBits = 5 * n.CapacityBps
-	}
-	return n
-}
+// netQueueSec caps the transfer backlog at this many seconds of capacity;
+// arrivals beyond it are shed as overflow.
+const netQueueSec = 5
 
 // ComputeConfig is the SµDC compute stage: delivered requests queue per
-// class and launch as batches on the device model, reusing the sched
-// batch executor so thermal throttling and SEU recovery behave exactly as
-// in the pipeline simulator.
+// class and launch as batches of at most TargetBatch frames through
+// sched's batch executor, so thermal throttling and SEU upsets behave
+// exactly as in the pipeline simulator. An upset batch is corrupt; the
+// request retry policy is what recovers it.
 type ComputeConfig struct {
 	// Proc is the device model (sched.NewDeviceProcessor or a synthetic).
 	Proc sched.Processor
 	// PixelsPerFrame sizes one frame's inference input. Zero means 1e6.
 	PixelsPerFrame float64
-	// TargetBatch is the preferred batch size in frames.
+	// TargetBatch is the batch size in frames: a batch launches once this
+	// many frames are queued, and never holds more unless its first
+	// request alone is larger.
 	TargetBatch int
-	// MaxBatch caps one batch. Zero means TargetBatch.
-	MaxBatch int
 	// MaxWaitSec bounds how long the oldest delivered request waits before
 	// a partial batch launches. Zero means 5 s.
 	MaxWaitSec float64
-	// QueueLimit caps queued frames across classes; overflow is shed. Zero
-	// means 64 × TargetBatch.
-	QueueLimit int
 }
+
+// compQueueBatches caps queued frames across classes at this many target
+// batches; overflow is shed.
+const compQueueBatches = 64
 
 // withDefaults fills zero fields.
 func (c ComputeConfig) withDefaults() ComputeConfig {
 	if c.PixelsPerFrame == 0 {
 		c.PixelsPerFrame = 1e6
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = c.TargetBatch
-	}
 	if c.MaxWaitSec == 0 {
 		c.MaxWaitSec = 5
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 64 * c.TargetBatch
 	}
 	return c
 }
@@ -160,30 +149,32 @@ type Scenario struct {
 	Network  NetworkConfig
 	Compute  ComputeConfig
 	Policy   Policy
-	// Governor, when set, throttles the compute stage thermally and drives
-	// the degradation controller through its transition events. The engine
-	// instruments it on an internal registry and calls Reset, so a fresh
-	// governor per run is not required but shared governors must not run
-	// concurrently.
+	// Governor, when set, throttles the compute stage thermally, and the
+	// regime its latest transitions reported scales admission (see
+	// admissionScale). The engine calls Reset and instruments it on Obs,
+	// so a fresh governor per run is not required but shared governors
+	// must not run concurrently.
 	Governor *resilience.Governor
-	// Recovery is the mitigation policy for SEU-upset batches (nil = no
-	// mitigation: upset batches are corrupted and their requests retried
-	// or failed).
-	Recovery sched.RecoveryPolicy
 	// Campaign is the fault schedule.
 	Campaign []Fault
-	// StepSec is the engine step. Zero means 0.1.
-	StepSec float64
 	// Seed drives retry jitter and fault sampling.
 	Seed int64
-	// Obs, when non-nil, receives the run's metrics and per-step samples.
-	// The degradation control loop deliberately closes the loop from the
-	// governor's events — the documented exception to the
-	// observability-never-feeds-back rule — but it runs on an internal
-	// registry either way, so instrumented runs stay bit-identical to bare
-	// ones.
+	// Obs, when non-nil, receives the run's metrics, per-step samples and
+	// the governor's instrumentation. Nothing the engine decides reads it,
+	// so instrumented runs are bit-identical to bare ones.
 	Obs *obs.Registry
 }
+
+// stepSec is the engine's time step.
+const stepSec = 0.1
+
+// MaxSteps caps a run's time steps, Workload.DurationSec / 0.1. Run reads
+// no context, so without it a long duration would hold a run, and a
+// daemon admission slot, for hours. It is 218× the largest step count any
+// experiment, test, pin, example or benchmark runs (4,800: 480 s). An
+// ext-workload scenario at load 0.5 runs 2^20 steps (2.3 million requests)
+// in 1.0 s (2-vCPU Intel Xeon, Go 1.24.0).
+const MaxSteps = 1 << 20
 
 // ClassResult is one priority class's outcome.
 type ClassResult struct {
@@ -317,9 +308,10 @@ type engine struct {
 	sc      Scenario
 	classes []workload.Class
 	adm     *Admission
-	deg     *Degrader
+	dev     sched.Device
 	rng     *rand.Rand
 	retry   RetryPolicy
+	scale   float64 // admission-rate multiplier (see admissionScale)
 
 	// Both stages queue per class in strict priority order: class 0 is
 	// served first and, on overflow, the lowest-priority tail is evicted
@@ -345,13 +337,7 @@ type engine struct {
 
 // Run executes one scenario.
 func Run(sc Scenario) (Result, error) {
-	if sc.StepSec == 0 {
-		sc.StepSec = 0.1
-	}
-	sc.Network = sc.Network.withDefaults()
-	if sc.Compute.TargetBatch > 0 {
-		sc.Compute = sc.Compute.withDefaults()
-	}
+	sc.Compute = sc.Compute.withDefaults()
 	sc.Policy.Retry = sc.Policy.Retry.withDefaults()
 	if err := validate(sc); err != nil {
 		return Result{}, err
@@ -365,13 +351,19 @@ func Run(sc Scenario) (Result, error) {
 		return Result{}, err
 	}
 
+	rng := rand.New(rand.NewSource(sc.Seed))
 	e := &engine{
-		sc:           sc,
-		classes:      gen.Classes(),
-		adm:          adm,
-		deg:          NewDegrader(0),
-		rng:          rand.New(rand.NewSource(sc.Seed)),
+		sc:      sc,
+		classes: gen.Classes(),
+		adm:     adm,
+		dev: sched.Device{
+			Proc:           sc.Compute.Proc,
+			PixelsPerFrame: sc.Compute.PixelsPerFrame,
+			Rng:            rng,
+		},
+		rng:          rng,
 		retry:        sc.Policy.Retry,
+		scale:        1,
 		netQ:         make([][]item, len(gen.Classes())),
 		netBits:      make([]float64, len(gen.Classes())),
 		compQ:        make([][]item, len(gen.Classes())),
@@ -387,37 +379,17 @@ func Run(sc Scenario) (Result, error) {
 		e.perClass[i].Name = c.Name
 	}
 
-	// The degradation loop always runs on an internal sim-clock registry:
-	// the governor's transition events are drained into the Degrader
-	// synchronously each step (and forwarded to the external registry when
-	// one is attached), so control decisions are identical whether or not
-	// the caller observes the run.
-	ireg := obs.New()
-	var events <-chan obs.Event
+	// An upset batch is corrupt: no recovery policy runs, so the campaign
+	// hazard is the executor's only fault input.
+	e.dev.Faults = &sched.FaultConfig{Hazard: e.hazardAt}
 	if gov := sc.Governor; gov != nil {
 		gov.Reset()
-		gov.Instrument(ireg)
-		ch, cancel := ireg.Subscribe(4096)
-		defer cancel()
-		events = ch
+		gov.Instrument(sc.Obs)
+		e.dev.Thermal = gov
 	}
 
-	e.run(gen, ireg, events)
-
+	e.run(gen)
 	e.finish(sc.Workload.DurationSec)
-
-	// Mirror the governor's internal instrumentation (transition counters,
-	// thermal gauges) onto the caller's registry so the control loop's
-	// activity is visible without subscribing to the live event stream.
-	if ext := sc.Obs; ext != nil && sc.Governor != nil {
-		snap := ireg.Snapshot()
-		for _, c := range snap.Counters {
-			ext.Counter(c.Name).Add(int(c.Value))
-		}
-		for _, g := range snap.Gauges {
-			ext.Gauge(g.Name).Set(g.Value)
-		}
-	}
 	return e.res, nil
 }
 
@@ -435,11 +407,9 @@ func validate(sc Scenario) error {
 	if sc.Compute.TargetBatch <= 0 {
 		return fmt.Errorf("qos: non-positive target batch %d", sc.Compute.TargetBatch)
 	}
-	if sc.Compute.MaxBatch < sc.Compute.TargetBatch {
-		return fmt.Errorf("qos: max batch %d below target %d", sc.Compute.MaxBatch, sc.Compute.TargetBatch)
-	}
-	if sc.StepSec <= 0 || math.IsNaN(sc.StepSec) {
-		return fmt.Errorf("qos: non-positive step %v", sc.StepSec)
+	if steps := sc.Workload.DurationSec / stepSec; !(steps <= MaxSteps) {
+		return fmt.Errorf("qos: %v s at a %v s step is %.3g steps, over the %d-step ceiling",
+			sc.Workload.DurationSec, stepSec, steps, MaxSteps)
 	}
 	if err := sc.Policy.Retry.validate(); err != nil {
 		return err
@@ -463,10 +433,10 @@ func probeServiceSec(c ComputeConfig) float64 {
 }
 
 // run is the time-stepped main loop.
-func (e *engine) run(gen *workload.Generator, ireg *obs.Registry, events <-chan obs.Event) {
+func (e *engine) run(gen *workload.Generator) {
 	sc := e.sc
 	ext := sc.Obs
-	dt := sc.StepSec
+	dt := stepSec
 	dur := sc.Workload.DurationSec
 	gov := sc.Governor
 
@@ -523,7 +493,7 @@ func (e *engine) run(gen *workload.Generator, ireg *obs.Registry, events <-chan 
 			}
 		}
 
-		// Governor shed check (emits shed transitions consumed below).
+		// Governor shed check (a shed transition reaches admission below).
 		if gov != nil {
 			gov.KeepFactor(t)
 		}
@@ -558,19 +528,10 @@ func (e *engine) run(gen *workload.Generator, ireg *obs.Registry, events <-chan 
 		// this step.
 		e.serveCompute(t, stepEnd)
 
-		// Drain the governor's transition events into the degradation
-		// controller (and forward them to the external registry).
-		for drained := events == nil; !drained; {
-			select {
-			case ev := <-events:
-				e.deg.Observe(ev)
-				if ext != nil {
-					ext.SetTime(ev.TimeSec)
-					ext.Emit(ev.Name, ev.Kind, ev.Value)
-				}
-			default:
-				drained = true
-			}
+		// The regime the governor reported this step throttles admission
+		// from the next step on.
+		if gov != nil {
+			e.scale = admissionScale(gov)
 		}
 
 		// Backlog estimate and recovery tracking.
@@ -597,10 +558,9 @@ func (e *engine) run(gen *workload.Generator, ireg *obs.Registry, events <-chan 
 		if ext != nil {
 			ext.SetTime(stepEnd)
 			extBacklog.Set(backlog)
-			extScale.Set(e.deg.Scale())
+			extScale.Set(e.scale)
 			ext.Emit("qos.backlog_sec", "sample", backlog)
 		}
-		ireg.SetTime(stepEnd)
 	}
 
 	// Restore any still-applied radiator derates (campaigns ending at the
@@ -627,13 +587,13 @@ func (e *engine) arrive(now float64, it item) {
 			return
 		}
 	}
-	if !e.adm.Admit(now, cls, e.deg.Scale()) {
+	if !e.adm.Admit(now, cls, e.scale) {
 		e.reject(now, it, shedAdmission)
 		return
 	}
 	// On overflow, evict lower-priority tail items before turning a
 	// higher-priority arrival away (drop-tail when class-blind).
-	for e.netQBits+it.bits > e.sc.Network.QueueBits {
+	for e.netQBits+it.bits > netQueueSec*e.sc.Network.CapacityBps {
 		if e.sc.Policy.ClassBlind || !e.evictBelow(now, cls) {
 			e.reject(now, it, shedOverflow)
 			return
@@ -670,7 +630,7 @@ func (e *engine) evictBelow(now float64, cls int) bool {
 // re-transfers its full payload.
 func (e *engine) reject(now float64, it item, reason int) {
 	cls := int(it.class)
-	if e.retry.enabled() && int(it.attempt)+1 < e.retry.MaxAttempts && len(e.retries) < e.retry.QueueLimit {
+	if e.retry.enabled() && int(it.attempt)+1 < e.retry.MaxAttempts && len(e.retries) < retryQueueLimit {
 		it.attempt++
 		it.bits = e.classes[cls].Bits
 		e.retries.push(retryEntry{due: now + e.retry.backoff(int(it.attempt), e.rng), it: it})
@@ -790,7 +750,7 @@ func (e *engine) serveNetwork(stepEnd, budget float64) {
 func (e *engine) deliver(now float64, it item) {
 	cls := int(it.class)
 	frames := e.classes[cls].Frames
-	for e.compFrames+frames > e.sc.Compute.QueueLimit {
+	for e.compFrames+frames > compQueueBatches*e.sc.Compute.TargetBatch {
 		if e.sc.Policy.ClassBlind || !e.evictComputeBelow(now, cls) {
 			e.reject(now, it, shedOverflow)
 			return
@@ -855,7 +815,7 @@ func (e *engine) shouldLaunch(t float64) bool {
 // launchBatch forms a batch in strict priority order and executes it on
 // the device under the current thermal and hazard regime.
 func (e *engine) launchBatch(launch float64) {
-	cfg := e.sc.Compute
+	maxBatch := e.sc.Compute.TargetBatch
 	frames := 0
 
 	// Take whole items in strict priority order — class 0 drains fully
@@ -882,13 +842,13 @@ func (e *engine) launchBatch(launch float64) {
 				break
 			}
 			f := e.classes[best].Frames
-			if total > 0 && frames+f > cfg.MaxBatch {
+			if total > 0 && frames+f > maxBatch {
 				break
 			}
 			taken[best]++
 			total++
 			frames += f
-			if frames >= cfg.MaxBatch {
+			if frames >= maxBatch {
 				break
 			}
 		}
@@ -897,13 +857,13 @@ func (e *engine) launchBatch(launch float64) {
 		for cls := range e.compQ {
 			for _, it := range e.compQ[cls] {
 				f := e.classes[it.class].Frames
-				if total > 0 && frames+f > cfg.MaxBatch {
+				if total > 0 && frames+f > maxBatch {
 					break fill
 				}
 				taken[cls]++
 				total++
 				frames += f
-				if frames >= cfg.MaxBatch {
+				if frames >= maxBatch {
 					break fill
 				}
 			}
@@ -913,53 +873,9 @@ func (e *engine) launchBatch(launch float64) {
 		return
 	}
 
-	secs, joules := cfg.Proc.Process(frames, float64(frames)*cfg.PixelsPerFrame)
-	if secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
-		secs = 0
-	}
-	if gov := e.sc.Governor; gov != nil {
-		f := gov.Factor(launch)
-		if f < 0.01 {
-			f = 0.01
-		}
-		if f < 1 {
-			stretched := secs / f
-			e.res.ThrottleSec += stretched - secs
-			secs = stretched
-		}
-	}
-
-	good := true
-	if e.hazard > 0 || e.sc.Recovery != nil {
-		pol := e.sc.Recovery
-		if pol == nil {
-			pol = sched.NoMitigation()
-		}
-		out := pol.Execute(sched.BatchExec{
-			Start:      launch,
-			Frames:     frames,
-			BaseSecs:   secs,
-			BaseJoules: joules,
-			Hazard:     e.hazardAt,
-			Rng:        e.rng,
-		})
-		secs, joules = out.Secs, out.Joules
-		good = out.Good
-		e.res.Upsets += out.Upsets
-		e.res.Resets += out.Resets
-		if secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
-			secs = 0
-		}
-	}
-
+	secs, good := e.dev.Launch(launch, frames)
 	done := launch + secs
 	e.busyUntil = done
-	e.res.EnergyJ += joules
-	e.res.BusySec += secs
-	e.res.Batches++
-	if gov := e.sc.Governor; gov != nil {
-		gov.Dissipated(launch, secs, joules)
-	}
 
 	// Settle the taken items: completion or corruption.
 	for cls, n := range taken {
@@ -989,8 +905,28 @@ func (e *engine) launchBatch(launch float64) {
 	}
 }
 
-// hazardAt is the campaign SEU rate as a hazard function for BatchExec.
+// hazardAt is the campaign SEU rate as the executor's hazard function.
 func (e *engine) hazardAt(float64) float64 { return e.hazard }
+
+// minAdmissionScale is how far degradation may throttle admission: never
+// below 5% of the configured rates.
+const minAdmissionScale = 0.05
+
+// admissionScale folds the regime the governor last reported entering
+// into one admission-rate multiplier: the product of its capacity and keep
+// factors, each clamped to [0, 1], floored at minAdmissionScale.
+func admissionScale(gov *resilience.Governor) float64 {
+	capacity, keep := gov.Transitions()
+	return min(max(unitClamp(capacity)*unitClamp(keep), minAdmissionScale), 1)
+}
+
+// unitClamp clamps v to [0, 1], mapping NaN to 0.
+func unitClamp(v float64) float64 {
+	if math.IsNaN(v) || v < 0 {
+		return 0
+	}
+	return min(v, 1)
+}
 
 // finish assembles the result.
 func (e *engine) finish(durationSec float64) {
@@ -1024,6 +960,9 @@ func (e *engine) finish(durationSec float64) {
 		e.perClass[re.it.class].InFlight++
 	}
 	e.res.Classes = e.perClass
+	d := &e.dev
+	e.res.Batches, e.res.Upsets, e.res.Resets = d.Batches, d.Upsets, d.Resets
+	e.res.EnergyJ, e.res.BusySec, e.res.ThrottleSec = d.EnergyJ, d.BusySec, d.ThrottleSec
 
 	if ext := sc.Obs; ext != nil {
 		ext.SetTime(durationSec)

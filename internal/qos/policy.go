@@ -1,26 +1,24 @@
 // Package qos is the traffic-and-QoS layer between the workload generator
 // and the simulators: priority-class admission control (token buckets with
-// weighted borrowing), deadline-aware load shedding, bounded retry with
-// exponential backoff and jitter, and a degradation controller that
-// consumes the resilience governor's derate/shed transition events to
-// tighten admission when thermal or radiation pressure rises.
+// borrowing from lower-priority lenders), deadline-aware load shedding,
+// bounded retry with exponential backoff and jitter, and degradation that
+// tightens admission by the regime the resilience governor last reported
+// entering (its derate and shed transitions) when thermal pressure rises.
 //
 // The engine in engine.go composes these policies into a time-stepped
 // service pipeline — a network stage calibrated from netsim runs feeding a
-// compute stage built on the sched batch executor — and reports per-class
-// SLO attainment under overload and fault campaigns. Everything is
-// deterministic given a Scenario: one seeded rand.Rand drives retry jitter
-// and fault sampling, and the degradation loop runs on an internal
-// registry drained synchronously each step, so runs are bit-identical at
-// any worker count and with observability on or off.
+// compute stage that launches through sched's batch executor — and reports
+// per-class SLO attainment under overload and fault campaigns. Everything
+// is deterministic given a Scenario: one seeded rand.Rand drives retry
+// jitter and fault sampling, and the engine reads the governor directly at
+// a fixed point of each step, never a metrics registry, so runs are
+// bit-identical at any worker count and with observability on or off.
 package qos
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"spacedc/internal/obs"
 )
 
 // ClassPolicy is one priority class's token-bucket admission contract.
@@ -35,14 +33,12 @@ type ClassPolicy struct {
 	// bucket runs dry — how urgent tasking rides through its own burst
 	// without inflating steady-state capacity.
 	Borrow bool
-	// Lend offers this class's spare tokens to higher-priority borrowers.
+	// Lend offers this class's spare tokens to higher-priority borrowers;
+	// when several lenders have spare tokens the fullest bucket donates.
 	Lend bool
-	// Weight biases donor choice when several lenders have spare tokens
-	// (the fullest weighted bucket donates). Zero means 1.
-	Weight float64
 }
 
-// Admission is a set of per-class token buckets with weighted borrowing.
+// Admission is a set of per-class token buckets with borrowing.
 // Build with NewAdmission; not safe for concurrent use (the engine owns
 // it).
 type Admission struct {
@@ -66,19 +62,13 @@ func NewAdmission(pol []ClassPolicy) (*Admission, error) {
 		if p.Burst == 0 {
 			p.Burst = p.RatePerSec
 		}
-		if p.Weight == 0 {
-			p.Weight = 1
-		}
-		if p.Weight < 0 || math.IsNaN(p.Weight) {
-			return nil, fmt.Errorf("qos: class %d negative weight %v", i, p.Weight)
-		}
 		a.tokens[i] = p.Burst // start full so t=0 arrivals see the burst headroom
 	}
 	return a, nil
 }
 
 // refill tops the buckets up for the elapsed time, with refill rates
-// scaled by the degradation controller's current factor. Time never runs
+// scaled by the engine's current admission scale. Time never runs
 // backward (retries re-entering within a step may present slightly older
 // stamps; those simply skip the refill).
 func (a *Admission) refill(t, scale float64) {
@@ -97,8 +87,8 @@ func (a *Admission) refill(t, scale float64) {
 
 // Admit decides one request at time t. scale in (0, 1] throttles the
 // refill rates (degradation). A class whose bucket is dry may borrow one
-// token from the fullest weighted lower-priority lender. An Admission with
-// no classes admits everything.
+// token from the fullest lower-priority lender. An Admission with no
+// classes admits everything.
 func (a *Admission) Admit(t float64, class int, scale float64) bool {
 	if len(a.pol) == 0 {
 		return true
@@ -116,8 +106,8 @@ func (a *Admission) Admit(t float64, class int, scale float64) bool {
 		if !a.pol[j].Lend || a.tokens[j] < 1 {
 			continue
 		}
-		if w := a.tokens[j] * a.pol[j].Weight; w > best {
-			donor, best = j, w
+		if a.tokens[j] > best {
+			donor, best = j, a.tokens[j]
 		}
 	}
 	if donor < 0 {
@@ -129,7 +119,8 @@ func (a *Admission) Admit(t float64, class int, scale float64) bool {
 
 // RetryPolicy bounds re-submission of shed or failed requests:
 // exponential backoff with jitter, a total-attempts cap, and a bounded
-// pending queue so retries cannot themselves become an overload amplifier.
+// pending queue (retryQueueLimit) so retries cannot themselves become an
+// overload amplifier.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of delivery attempts including the
 	// first; values ≤ 1 disable retry.
@@ -141,10 +132,10 @@ type RetryPolicy struct {
 	// JitterFrac spreads each delay uniformly by ±JitterFrac of itself
 	// (decorrelating retry storms); 0 disables jitter.
 	JitterFrac float64
-	// QueueLimit caps pending retries; overflow is a permanent shed. Zero
-	// means 4096.
-	QueueLimit int
 }
+
+// retryQueueLimit caps pending retries; overflow is a permanent shed.
+const retryQueueLimit = 4096
 
 // withDefaults fills zero fields.
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -153,9 +144,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BackoffFactor == 0 {
 		p.BackoffFactor = 2
-	}
-	if p.QueueLimit == 0 {
-		p.QueueLimit = 4096
 	}
 	return p
 }
@@ -185,58 +173,4 @@ func (p RetryPolicy) backoff(n int, rng *rand.Rand) float64 {
 		d *= 1 + p.JitterFrac*(2*rng.Float64()-1)
 	}
 	return d
-}
-
-// Degrader is the degradation controller: it watches the resilience
-// governor's "resilience.governor.derate" / "resilience.governor.shed"
-// transition events (value = the factor entering the new regime, 1 on
-// recovery) and folds them into a single admission scale. The engine
-// drains its internal event stream into Observe synchronously each step,
-// so the control loop is deterministic.
-type Degrader struct {
-	derate, keep, floor float64
-}
-
-// NewDegrader builds a controller. floor bounds how far admission can be
-// throttled (≤ 0 means 0.05: never below 5% of configured rates).
-func NewDegrader(floor float64) *Degrader {
-	if floor <= 0 {
-		floor = 0.05
-	}
-	return &Degrader{derate: 1, keep: 1, floor: floor}
-}
-
-// Observe folds one governor transition event into the controller state.
-// Events it does not recognize are ignored, so the engine can feed it the
-// whole internal stream.
-func (d *Degrader) Observe(e obs.Event) {
-	if e.Kind != "transition" {
-		return
-	}
-	v := e.Value
-	if math.IsNaN(v) || v < 0 {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	switch e.Name {
-	case "resilience.governor.derate":
-		d.derate = v
-	case "resilience.governor.shed":
-		d.keep = v
-	}
-}
-
-// Scale returns the current admission-rate multiplier in [floor, 1]: the
-// product of the governor's capacity factor and its shed keep factor.
-func (d *Degrader) Scale() float64 {
-	s := d.derate * d.keep
-	if s < d.floor {
-		s = d.floor
-	}
-	if s > 1 {
-		s = 1
-	}
-	return s
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"spacedc/internal/obs"
 )
 
 // totalRatePerSec is the aggregate sustained admission capacity.
@@ -171,34 +169,49 @@ func TestRetryBackoff(t *testing.T) {
 	}
 }
 
-func TestDegrader(t *testing.T) {
-	d := NewDegrader(0)
-	if s := d.Scale(); s != 1 {
-		t.Fatalf("initial scale %v, want 1", s)
+// TestAdmissionScaleReadsTransitions pins what the degradation loop reads:
+// the capacity and keep factors the governor's derate and shed transitions
+// carried as it entered its regimes, not its live factors, which keep
+// falling while the thermal buffer fills inside a regime.
+func TestAdmissionScaleReadsTransitions(t *testing.T) {
+	gov := testGovernor()
+	gov.CapacityW = 100 // a quarter of the 400 W peak: derates down to 0.25
+	gov.Reset()
+	if s := admissionScale(gov); s != 1 {
+		t.Fatalf("cool scale %v, want 1", s)
 	}
-	d.Observe(obs.Event{Name: "resilience.governor.derate", Kind: "transition", Value: 0.5})
-	if s := d.Scale(); s != 0.5 {
-		t.Fatalf("post-derate scale %v, want 0.5", s)
+	// A fifth of the buffer filled: derate and shedding begin.
+	gov.Dissipated(0, 1, 2e3)
+	capIn, keepIn := gov.Factor(1), gov.KeepFactor(1)
+	if capIn >= 1 || keepIn >= 1 {
+		t.Fatalf("no derate or shed entry: capacity %v, keep %v", capIn, keepIn)
 	}
-	d.Observe(obs.Event{Name: "resilience.governor.shed", Kind: "transition", Value: 0.4})
-	if s := d.Scale(); math.Abs(s-0.2) > 1e-12 {
-		t.Fatalf("combined scale %v, want 0.2", s)
+	want := capIn * keepIn
+	if s := admissionScale(gov); s != want {
+		t.Fatalf("scale %v on entry, want %v", s, want)
 	}
-	// Recovery events restore the factors independently.
-	d.Observe(obs.Event{Name: "resilience.governor.derate", Kind: "transition", Value: 1})
-	if s := d.Scale(); s != 0.4 {
-		t.Fatalf("post-recovery scale %v, want 0.4", s)
+	// Deeper inside both regimes the live factors fall; the scale holds.
+	gov.Dissipated(1, 1, 6e3)
+	capLive, keepLive := gov.Factor(2), gov.KeepFactor(2)
+	if capLive >= capIn || keepLive >= keepIn {
+		t.Fatalf("live factors did not fall: capacity %v→%v, keep %v→%v", capIn, capLive, keepIn, keepLive)
 	}
-	// Unrelated events and non-transition kinds are ignored.
-	d.Observe(obs.Event{Name: "sched.batch", Kind: "span", Value: 0})
-	d.Observe(obs.Event{Name: "resilience.governor.shed", Kind: "sample", Value: 0})
-	if s := d.Scale(); s != 0.4 {
-		t.Fatalf("ignored events moved the scale to %v", s)
+	if s := admissionScale(gov); s != want {
+		t.Fatalf("scale %v, want the entry product %v and not the live %v", s, want, capLive*keepLive)
 	}
-	// The floor bounds how hard admission can be strangled.
-	d.Observe(obs.Event{Name: "resilience.governor.shed", Kind: "transition", Value: 0})
-	if s := d.Scale(); s != 0.05 {
-		t.Fatalf("floored scale %v, want 0.05", s)
+	// Cooling off ends both regimes and restores full admission.
+	gov.Factor(1e4)
+	gov.KeepFactor(1e4)
+	if s := admissionScale(gov); s != 1 {
+		t.Fatalf("recovered scale %v, want 1", s)
+	}
+	// Entering at full throttle (0.01 × 0.5) is floored.
+	gov.CapacityW = 1
+	gov.Dissipated(1e4, 1, 1e5)
+	gov.Factor(1e4 + 1)
+	gov.KeepFactor(1e4 + 1)
+	if s := admissionScale(gov); s != minAdmissionScale {
+		t.Fatalf("full-throttle scale %v, want the %v floor", s, minAdmissionScale)
 	}
 }
 

@@ -44,6 +44,10 @@ type Governor struct {
 	reg       *obs.Registry // event stream for transition edges
 	derated   bool
 	shedding  bool
+
+	// lastCapacity and lastKeep are the factors the latest derate and
+	// shed transitions carried, 1 before any (see Transitions).
+	lastCapacity, lastKeep float64
 }
 
 // Instrument points the governor's transition counters and stored-energy
@@ -83,10 +87,12 @@ func NewGovernor(peak units.Power, rad thermal.Radiator, areaM2, headroomJ float
 		return nil, err
 	}
 	return &Governor{
-		CapacityW: rad.FluxWM2() * areaM2,
-		PeakW:     float64(peak),
-		HeadroomJ: headroomJ,
-		Shed:      shed,
+		CapacityW:    rad.FluxWM2() * areaM2,
+		PeakW:        float64(peak),
+		HeadroomJ:    headroomJ,
+		Shed:         shed,
+		lastCapacity: 1,
+		lastKeep:     1,
 	}, nil
 }
 
@@ -157,6 +163,7 @@ func (g *Governor) Factor(t float64) float64 {
 	g.gStored.Set(g.storedJ)
 	if d := f < 1; d != g.derated {
 		g.derated = d
+		g.lastCapacity = f
 		if d {
 			g.ctrDerate.Inc()
 		}
@@ -180,12 +187,21 @@ func (g *Governor) KeepFactor(t float64) float64 {
 	keep := 1 - g.Shed.Rate*g.severity()
 	if s := keep < 1; s != g.shedding {
 		g.shedding = s
+		g.lastKeep = keep
 		if s {
 			g.ctrShed.Inc()
 		}
 		g.reg.Emit("resilience.governor.shed", "transition", keep)
 	}
 	return keep
+}
+
+// Transitions returns the capacity and keep factors the latest derate and
+// shed transitions carried: the regime the governor last reported
+// entering, as its transition events report it, and not the live factors,
+// which keep moving inside a regime. Both are 1 before any transition.
+func (g *Governor) Transitions() (capacity, keep float64) {
+	return g.lastCapacity, g.lastKeep
 }
 
 // Reset returns the governor to its cold initial state (instrumentation
@@ -195,4 +211,5 @@ func (g *Governor) Reset() {
 	g.lastSec = 0
 	g.derated = false
 	g.shedding = false
+	g.lastCapacity, g.lastKeep = 1, 1
 }

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"fmt"
 	"math"
 
 	"spacedc/internal/sched"
@@ -13,41 +12,31 @@ import (
 // bit. Protection (and its time/energy overhead) switches on only while
 // the environment actually threatens upsets.
 
-// Retry re-executes an upset batch after exponential backoff, up to a
-// bounded number of attempts — the cheapest software mitigation: no
+// Retry re-executes an upset batch after exponential backoff, up to
+// retryAttempts executions — the cheapest software mitigation: no
 // steady-state overhead, but every upset costs a full redo and a batch
 // that exhausts its attempts is lost.
-type Retry struct {
-	MaxAttempts   int     // total executions allowed; 0 = 3
-	BackoffSec    float64 // delay before the first retry; 0 = 1
-	BackoffFactor float64 // growth per retry; 0 = 2
-}
+type Retry struct{}
 
-// Name implements sched.RecoveryPolicy.
-func (Retry) Name() string { return "retry" }
+// Retry's schedule: executions allowed, the delay before the first retry,
+// and its growth per retry.
+const (
+	retryAttempts   = 3
+	retryBackoffSec = 1
+	retryBackoffFac = 2
+)
 
 // Execute implements sched.RecoveryPolicy.
-func (r Retry) Execute(e sched.BatchExec) sched.BatchOutcome {
-	max := r.MaxAttempts
-	if max <= 0 {
-		max = 3
-	}
-	back := r.BackoffSec
-	if back <= 0 {
-		back = 1
-	}
-	fac := r.BackoffFactor
-	if fac <= 0 {
-		fac = 2
-	}
+func (Retry) Execute(e sched.BatchExec) sched.BatchOutcome {
 	var o sched.BatchOutcome
 	now := e.Start
-	for attempt := 0; attempt < max; attempt++ {
+	back := float64(retryBackoffSec)
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			e.Obs.Counter("resilience.retry.retries").Inc()
 			o.Secs += back
 			now += back
-			back *= fac
+			back *= retryBackoffFac
 		}
 		p := e.RunOnce(now)
 		o.Accumulate(p)
@@ -77,19 +66,18 @@ func YoungDalyIntervalSec(checkpointCostSec, mtbfSec float64) float64 {
 }
 
 // Checkpoint implements checkpoint/restart: the batch is cut into
-// segments of the Young/Daly optimal interval (or a fixed one), a
+// segments of the Young/Daly optimal interval for the hazard at launch, a
 // checkpoint is written after each non-final segment, and an upset redoes
-// only the segment in flight plus a restart. Steady overhead buys bounded
-// redo work — more expensive than retry in energy, better in goodput.
+// only the segment in flight plus a restart, at most checkpointMaxRedos
+// times per batch. Steady overhead buys bounded redo work — more expensive
+// than retry in energy, better in goodput.
 type Checkpoint struct {
 	CheckpointSec float64 // cost of writing one checkpoint; 0 = 0.5
 	RestartSec    float64 // reload cost after an upset; 0 = CheckpointSec
-	IntervalSec   float64 // fixed interval; 0 = Young/Daly from the hazard at launch
-	MaxRedos      int     // per-batch redo cap (runaway guard); 0 = 1000
 }
 
-// Name implements sched.RecoveryPolicy.
-func (Checkpoint) Name() string { return "checkpoint" }
+// checkpointMaxRedos caps a batch's segment redos (a runaway guard).
+const checkpointMaxRedos = 1000
 
 // Execute implements sched.RecoveryPolicy.
 func (c Checkpoint) Execute(e sched.BatchExec) sched.BatchOutcome {
@@ -109,14 +97,7 @@ func (c Checkpoint) Execute(e sched.BatchExec) sched.BatchOutcome {
 	if restart <= 0 {
 		restart = delta
 	}
-	tau := c.IntervalSec
-	if tau <= 0 {
-		tau = YoungDalyIntervalSec(delta, 1/rate)
-	}
-	maxRedos := c.MaxRedos
-	if maxRedos <= 0 {
-		maxRedos = 1000
-	}
+	tau := YoungDalyIntervalSec(delta, 1/rate)
 	power := 0.0
 	if e.BaseSecs > 0 {
 		power = e.BaseJoules / e.BaseSecs
@@ -136,7 +117,7 @@ func (c Checkpoint) Execute(e sched.BatchExec) sched.BatchOutcome {
 		if p.Upset {
 			redos++
 			e.Obs.Counter("resilience.checkpoint.segment_redos").Inc()
-			if redos > maxRedos {
+			if redos > checkpointMaxRedos {
 				e.Obs.Counter("resilience.checkpoint.abandoned_batches").Inc()
 				return o // give up: Good stays false
 			}
@@ -157,24 +138,14 @@ func (c Checkpoint) Execute(e sched.BatchExec) sched.BatchOutcome {
 // keeps a clean majority); only device resets can destroy a replica's
 // output, and a reset replica re-executes once after reboot. With N == 2
 // (dual modular redundancy) divergence is detected but cannot be
-// resolved, so the pair re-executes, up to MaxRounds. Wall time and
+// resolved, so the pair re-executes, up to dmrRounds times. Wall time and
 // energy scale by the replica count — the costliest tier of §9's ladder.
 type Replicated struct {
-	N         int // replica count; 0 = 3 (TMR)
-	MaxRounds int // DMR re-execution rounds; 0 = 3
+	N int // replica count; 0 = 3 (TMR)
 }
 
-// Name implements sched.RecoveryPolicy.
-func (r Replicated) Name() string {
-	switch n := r.replicas(); n {
-	case 2:
-		return "dual"
-	case 3:
-		return "tmr"
-	default:
-		return fmt.Sprintf("%d-plex", n)
-	}
-}
+// dmrRounds caps a DMR pair's executions of one batch.
+const dmrRounds = 3
 
 // replicas returns the effective replica count.
 func (r Replicated) replicas() int {
@@ -228,11 +199,7 @@ func (r Replicated) Execute(e sched.BatchExec) sched.BatchOutcome {
 	}
 	// Dual modular redundancy: both copies must finish upset-free to
 	// agree; any divergence re-executes the pair.
-	rounds := r.MaxRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < dmrRounds; round++ {
 		clean := true
 		for i := 0; i < 2; i++ {
 			p := e.RunOnce(now)

@@ -14,6 +14,7 @@ package resilience
 
 import (
 	"fmt"
+	"slices"
 
 	"spacedc/internal/obs"
 	"spacedc/internal/sched"
@@ -30,16 +31,33 @@ type Policy struct {
 	PauseInSAA bool
 }
 
+// policies is every recovery policy by name: the §9 mitigation ladder in
+// increasing protection (and cost) order and the SAA pause, which
+// StandardPolicies returns, then dual modular redundancy, which a design
+// may name but the ladder leaves out. The names are econ's recovery names.
+var policies = []Policy{
+	{Name: "none"},
+	{Name: "retry", Recovery: Retry{}},
+	{Name: "checkpoint", Recovery: Checkpoint{CheckpointSec: 1, RestartSec: 1}},
+	{Name: "tmr", Recovery: Replicated{N: 3}},
+	{Name: "saa-pause", Recovery: Retry{}, PauseInSAA: true},
+	{Name: "dmr", Recovery: Replicated{N: 2}},
+}
+
 // StandardPolicies returns the §9 mitigation ladder in increasing
 // protection (and cost) order, plus the SAA pause.
 func StandardPolicies() []Policy {
-	return []Policy{
-		{Name: "none"},
-		{Name: "retry", Recovery: Retry{}},
-		{Name: "checkpoint", Recovery: Checkpoint{CheckpointSec: 1, RestartSec: 1}},
-		{Name: "tmr", Recovery: Replicated{N: 3}},
-		{Name: "saa-pause", Recovery: Retry{}, PauseInSAA: true},
+	return slices.Clone(policies[:len(policies)-1])
+}
+
+// PolicyNamed returns the recovery policy with the given name.
+func PolicyNamed(name string) (Policy, error) {
+	for _, p := range policies {
+		if p.Name == name {
+			return p, nil
+		}
 	}
+	return Policy{}, fmt.Errorf("resilience: unknown recovery policy %q", name)
 }
 
 // Scenario couples a base pipeline configuration to an environment and a
@@ -49,31 +67,18 @@ type Scenario struct {
 	Proc   sched.Processor
 	Env    *EnvTrace
 	Hazard HazardModel
-	// ResetFraction is the share of upsets that hard-reset the device
-	// (zero means the 0.1 default); ResetMTTRSec the reboot time (zero
-	// means 30 s).
-	ResetFraction float64
-	ResetMTTRSec  float64
 	// Obs, when non-nil, receives the simulator's metrics plus per-policy
 	// evaluation spans ("resilience.eval.<policy>"). Observability is
 	// write-only: results are identical with or without it.
 	Obs *obs.Registry
 }
 
-// resetFraction / resetMTTR apply the scenario defaults.
-func (s Scenario) resetFraction() float64 {
-	if s.ResetFraction == 0 {
-		return 0.1
-	}
-	return s.ResetFraction
-}
-
-func (s Scenario) resetMTTR() float64 {
-	if s.ResetMTTRSec == 0 {
-		return 30
-	}
-	return s.ResetMTTRSec
-}
+// The device's reset split: the share of upsets that hard-reset it
+// instead of silently corrupting the batch, and the reboot time.
+const (
+	resetFraction = 0.1
+	resetMTTRSec  = 30
+)
 
 // Report summarizes one policy evaluation.
 type Report struct {
@@ -113,8 +118,8 @@ func (s Scenario) Evaluate(pol Policy, baseline sched.Stats) (Report, error) {
 	cfg := s.Base
 	faults := &sched.FaultConfig{
 		Hazard:        s.Hazard.RateFunc(s.Env),
-		ResetFraction: s.resetFraction(),
-		ResetMTTRSec:  s.resetMTTR(),
+		ResetFraction: resetFraction,
+		ResetMTTRSec:  resetMTTRSec,
 		Recovery:      pol.Recovery,
 	}
 	if pol.PauseInSAA {

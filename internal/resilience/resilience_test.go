@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"spacedc/internal/econ"
 	"spacedc/internal/sched"
 )
 
@@ -48,6 +49,30 @@ func TestStandardPoliciesWellFormed(t *testing.T) {
 	}
 	if !seen["none"] || !seen["tmr"] || !seen["saa-pause"] {
 		t.Errorf("missing ladder rungs: %v", seen)
+	}
+}
+
+// TestPolicyTableMatchesEcon checks the recovery-policy table against
+// econ's price list: every name econ can price resolves to a policy, and
+// every policy is one econ can price.
+func TestPolicyTableMatchesEcon(t *testing.T) {
+	priced := []string{econ.RecoveryNone, econ.RecoveryRetry, econ.RecoveryCheckpoint,
+		econ.RecoveryDMR, econ.RecoveryTMR, econ.RecoverySAAPause}
+	for _, name := range priced {
+		if p, err := PolicyNamed(name); err != nil || p.Name != name {
+			t.Errorf("econ name %q: policy %+v, %v", name, p, err)
+		}
+	}
+	for _, p := range policies {
+		if _, err := econ.RecoveryDeviceFactor(p.Name); err != nil {
+			t.Errorf("policy %q: %v", p.Name, err)
+		}
+	}
+	if len(policies) != len(priced) {
+		t.Errorf("%d policies, econ prices %d", len(policies), len(priced))
+	}
+	if _, err := PolicyNamed("quad"); err == nil {
+		t.Error("unknown policy name resolved")
 	}
 }
 

@@ -2,9 +2,12 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 
 	"spacedc/internal/apps"
 	"spacedc/internal/gpusim"
+	"spacedc/internal/obs"
 )
 
 // DeviceProcessor adapts a gpusim performance model to the scheduler's
@@ -65,4 +68,84 @@ func (d *DeviceProcessor) OptimalTargetBatch() int {
 		b = 1
 	}
 	return b
+}
+
+// Device is the SµDC's compute gang as a batch executor: each launch runs
+// the processor's operating point, stretched by thermal derating and
+// executed under the recovery policy, and adds to the device tallies.
+// Simulate and the qos compute stage both launch their batches through
+// it.
+type Device struct {
+	Proc           Processor
+	PixelsPerFrame float64
+	Thermal        ThermalHook  // nil = never derated
+	Faults         *FaultConfig // nil = fault-free; only Hazard, the reset split and Recovery are read
+	Rng            *rand.Rand   // the run's single random source
+	Obs            *obs.Registry
+
+	// Tallies over every launch.
+	EnergyJ     float64
+	BusySec     float64 // occupancy less reset downtime
+	ThrottleSec float64 // extra service time from thermal derating
+	DowntimeSec float64
+	Batches     int
+	Upsets      int
+	Resets      int
+	Throttled   int // batches launched derated
+}
+
+// Launch runs a batch of frames at now and returns how long it holds the
+// device and whether its results are uncorrupted.
+func (d *Device) Launch(now float64, frames int) (secs float64, good bool) {
+	secs, joules := d.Proc.Process(frames, float64(frames)*d.PixelsPerFrame)
+	if secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
+		secs = 0
+	}
+	// Thermal derating stretches the service time before fault sampling:
+	// a throttled device holds the batch longer, and is exposed to upsets
+	// for longer.
+	if d.Thermal != nil {
+		f := d.Thermal.Factor(now)
+		if f < minThrottleFactor {
+			f = minThrottleFactor
+		}
+		if f < 1 {
+			stretched := secs / f
+			d.ThrottleSec += stretched - secs
+			secs = stretched
+			d.Throttled++
+		}
+	}
+	good = true
+	var down float64
+	if f := d.Faults; f != nil {
+		pol := f.Recovery
+		if pol == nil {
+			pol = noMitigation{}
+		}
+		out := pol.Execute(BatchExec{
+			Start:         now,
+			BaseSecs:      secs,
+			BaseJoules:    joules,
+			Hazard:        f.Hazard,
+			ResetFraction: f.ResetFraction,
+			ResetMTTRSec:  f.ResetMTTRSec,
+			Rng:           d.Rng,
+			Obs:           d.Obs,
+		})
+		secs, joules, good, down = out.Secs, out.Joules, out.Good, out.DownSec
+		d.Upsets += out.Upsets
+		d.Resets += out.Resets
+		d.DowntimeSec += out.DownSec
+		if secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
+			secs = 0
+		}
+	}
+	d.EnergyJ += joules
+	d.BusySec += secs - down
+	d.Batches++
+	if d.Thermal != nil {
+		d.Thermal.Dissipated(now, secs, joules)
+	}
+	return secs, good
 }

@@ -221,11 +221,14 @@ func TestThermalFactorFloorPreventsStall(t *testing.T) {
 // TestRunPassZeroHazardDrawsNothing pins the no-draw contract RunPass
 // gives recovery policies: with no hazard it must not touch the rng.
 func TestRunPassZeroHazardDrawsNothing(t *testing.T) {
-	e := BatchExec{Start: 10, Frames: 4, BaseSecs: 2, BaseJoules: 200}
+	e := BatchExec{Start: 10, BaseSecs: 2, BaseJoules: 200}
 	// Rng is nil: any draw would panic.
 	p := e.RunOnce(e.Start)
 	if p.Secs != 2 || p.Joules != 200 || p.Upset || p.Reset || p.DownSec != 0 {
 		t.Errorf("zero-hazard pass perturbed the operating point: %+v", p)
+	}
+	if o := (noMitigation{}).Execute(e); o.Secs != 2 || o.Joules != 200 || !o.Good || o.Upsets != 0 || o.DownSec != 0 {
+		t.Errorf("zero-hazard unmitigated batch perturbed: %+v", o)
 	}
 	e.Hazard = func(tm float64) float64 { return math.NaN() }
 	if p := e.RunOnce(e.Start); p.Upset {

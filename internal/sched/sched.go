@@ -118,7 +118,6 @@ type ThermalHook interface {
 // and the simulation's single injected random source.
 type BatchExec struct {
 	Start         float64 // launch time
-	Frames        int
 	BaseSecs      float64 // fault-free service time of one full pass
 	BaseJoules    float64
 	Hazard        func(t float64) float64
@@ -215,15 +214,12 @@ func (o *BatchOutcome) Accumulate(p PassResult) {
 // identical to the baseline. Implementations beyond the built-in
 // no-mitigation baseline live in internal/resilience.
 type RecoveryPolicy interface {
-	Name() string
 	Execute(e BatchExec) BatchOutcome
 }
 
 // noMitigation is the built-in default policy: one pass, corrupt on any
 // upset.
 type noMitigation struct{}
-
-func (noMitigation) Name() string { return "none" }
 
 func (noMitigation) Execute(e BatchExec) BatchOutcome {
 	var o BatchOutcome
@@ -233,16 +229,36 @@ func (noMitigation) Execute(e BatchExec) BatchOutcome {
 	return o
 }
 
-// NoMitigation returns the policy that runs every batch unprotected.
-func NoMitigation() RecoveryPolicy { return noMitigation{} }
+// MaxSatellites caps Satellites: Simulate queues one arrival event per
+// satellite before its first step, so an unbounded count is unbounded
+// memory. It is 1,024× the largest count any experiment, test, pin,
+// example or benchmark runs (64, the mission-planner example).
+const MaxSatellites = 1 << 16
 
-// Validate checks the config.
+// MaxArrivals caps a run's frame arrivals, Satellites × DurationSec /
+// FramePeriodSec. Simulate reads no context, so without it a long
+// duration would hold a run, and a daemon admission slot, for hours. It is
+// 10× the largest arrival count any experiment, test, pin, example or
+// benchmark makes (3,225,600: 8 satellites for a week at 1.5 s). A run at
+// the cap with the daemon's defaults (8 satellites, flood detection on one
+// RTX 3090 at its optimal batch) takes 2.5 s at 4.3 MiB peak RSS (2-vCPU
+// Intel Xeon, Go 1.24.0).
+const MaxArrivals = 1 << 25
+
+// Validate checks the config. Besides signs and ranges it bounds the run:
+// the satellites stay under MaxSatellites and the arrivals under
+// MaxArrivals.
 func (c Config) Validate() error {
-	if c.Satellites <= 0 {
-		return fmt.Errorf("sched: non-positive satellite count %d", c.Satellites)
+	if c.Satellites <= 0 || c.Satellites > MaxSatellites {
+		return fmt.Errorf("sched: satellite count %d outside [1, %d]", c.Satellites, MaxSatellites)
 	}
-	if c.FramePeriodSec <= 0 || c.PixelsPerFrame <= 0 || c.DurationSec <= 0 {
-		return fmt.Errorf("sched: non-positive period/pixels/duration")
+	if c.PixelsPerFrame <= 0 || !(c.FramePeriodSec > 0 && c.DurationSec > 0) ||
+		math.IsInf(c.FramePeriodSec, 1) || math.IsInf(c.DurationSec, 1) {
+		return fmt.Errorf("sched: period/pixels/duration not positive, or period/duration not finite")
+	}
+	if arrivals := float64(c.Satellites) * c.DurationSec / c.FramePeriodSec; arrivals > MaxArrivals {
+		return fmt.Errorf("sched: %d satellites for %v s at a %v s frame period is %.3g arrivals, over the %d-arrival ceiling",
+			c.Satellites, c.DurationSec, c.FramePeriodSec, arrivals, MaxArrivals)
 	}
 	if c.TargetBatch <= 0 {
 		return fmt.Errorf("sched: non-positive target batch %d", c.TargetBatch)
@@ -389,7 +405,14 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		hServiceSec = reg.Histogram("sched.batch_service_secs", obs.TimeBuckets)
 		hWaitSec    = reg.Histogram("sched.batch_queue_wait_secs", obs.TimeBuckets)
 	)
-	throttled := 0
+	dev := Device{
+		Proc:           proc,
+		PixelsPerFrame: cfg.PixelsPerFrame,
+		Thermal:        cfg.Thermal,
+		Faults:         cfg.Faults,
+		Rng:            rng,
+		Obs:            reg,
+	}
 
 	// Latency accumulator: a fixed-bucket histogram instead of a
 	// per-frame slice keeps month-scale missions memory-flat (O(buckets),
@@ -419,60 +442,11 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 
 	// startBatch launches processing of up to maxBatch queued frames.
 	startBatch := func(now float64) {
-		n := len(queue)
-		if n > maxBatch {
-			n = maxBatch
-		}
+		n := min(len(queue), maxBatch)
 		if n == 0 {
 			return
 		}
-		secs, joules := proc.Process(n, float64(n)*cfg.PixelsPerFrame)
-		if secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
-			secs = 0
-		}
-		// Thermal derating stretches the service time before fault
-		// sampling: a throttled device holds the batch longer, and is
-		// exposed to upsets for longer.
-		if cfg.Thermal != nil {
-			f := cfg.Thermal.Factor(now)
-			if f < minThrottleFactor {
-				f = minThrottleFactor
-			}
-			if f < 1 {
-				stretched := secs / f
-				stats.ThrottleSec += stretched - secs
-				secs = stretched
-				throttled++
-			}
-		}
-		good := true
-		var down float64
-		if cfg.Faults != nil {
-			pol := cfg.Faults.Recovery
-			if pol == nil {
-				pol = noMitigation{}
-			}
-			out := pol.Execute(BatchExec{
-				Start:         now,
-				Frames:        n,
-				BaseSecs:      secs,
-				BaseJoules:    joules,
-				Hazard:        cfg.Faults.Hazard,
-				ResetFraction: cfg.Faults.ResetFraction,
-				ResetMTTRSec:  cfg.Faults.ResetMTTRSec,
-				Rng:           rng,
-				Obs:           reg,
-			})
-			secs, joules = out.Secs, out.Joules
-			good = out.Good
-			down = out.DownSec
-			stats.Upsets += out.Upsets
-			stats.DeviceResets += out.Resets
-			stats.DowntimeSec += out.DownSec
-			if secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
-				secs = 0
-			}
-		}
+		secs, good := dev.Launch(now, n)
 		done := now + secs
 		if good {
 			for _, arr := range queue[:n] {
@@ -504,15 +478,9 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		// batches; reusing the array keeps the run's allocations flat.
 		rest := copy(queue, queue[n:])
 		queue = queue[:rest]
-		stats.EnergyJ += joules
-		stats.BusySec += secs - down
-		stats.Batches++
 		batchSum += n
 		busy = true
 		h.push(event{time: done, kind: evServiceDone})
-		if cfg.Thermal != nil {
-			cfg.Thermal.Dissipated(now, secs, joules)
-		}
 	}
 
 	// shouldLaunch applies the batching policy (and the compute pause).
@@ -561,6 +529,9 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 	}
 
 	stats.LeftOver = len(queue)
+	stats.EnergyJ, stats.BusySec, stats.Batches = dev.EnergyJ, dev.BusySec, dev.Batches
+	stats.Upsets, stats.DeviceResets, stats.DowntimeSec = dev.Upsets, dev.Resets, dev.DowntimeSec
+	stats.ThrottleSec = dev.ThrottleSec
 	stats.Utilization = stats.BusySec / cfg.DurationSec
 	if stats.Utilization > 1 {
 		stats.Utilization = 1
@@ -587,7 +558,7 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		reg.Counter("sched.device_resets").Add(stats.DeviceResets)
 		reg.Counter("sched.corrupted_frames").Add(stats.Corrupted)
 		reg.Counter("sched.processed_frames").Add(stats.Processed)
-		reg.Counter("sched.throttled_batches").Add(throttled)
+		reg.Counter("sched.throttled_batches").Add(dev.Throttled)
 		reg.Gauge("sched.utilization").Set(stats.Utilization)
 		reg.Gauge("sched.mean_batch").Set(stats.MeanBatch)
 		reg.Gauge("sched.energy_j").Set(stats.EnergyJ)

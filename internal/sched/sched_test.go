@@ -44,6 +44,14 @@ func TestValidate(t *testing.T) {
 		"zero batch":       func(c *Config) { c.TargetBatch = 0 },
 		"max below target": func(c *Config) { c.MaxBatch = 2; c.TargetBatch = 4 },
 		"negative wait":    func(c *Config) { c.MaxWaitSec = -1 },
+		"NaN duration":     func(c *Config) { c.DurationSec = math.NaN() },
+		"infinite period":  func(c *Config) { c.FramePeriodSec = math.Inf(1) },
+		// The bounds: one arrival event per satellite is queued up front,
+		// and the arrivals measure the run's length.
+		"over satellite cap": func(c *Config) { c.Satellites = MaxSatellites + 1 },
+		"1e8 satellites":     func(c *Config) { c.Satellites = 1e8 },
+		"over arrival cap":   func(c *Config) { c.DurationSec = (MaxArrivals + 8) * 1.5 / 8 },
+		"1e12 s":             func(c *Config) { c.Satellites = 1; c.DurationSec = 1e12 },
 	}
 	for name, mut := range mutations {
 		c := baseConfig()
@@ -54,6 +62,12 @@ func TestValidate(t *testing.T) {
 	}
 	if _, err := Simulate(baseConfig(), nil); err == nil {
 		t.Error("nil processor accepted")
+	}
+	atCap := baseConfig()
+	atCap.Satellites = MaxSatellites
+	atCap.DurationSec = MaxArrivals * atCap.FramePeriodSec / MaxSatellites
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("config at both caps rejected: %v", err)
 	}
 }
 

@@ -257,6 +257,44 @@ func TestEvalRejectsOversizedNetsim(t *testing.T) {
 	}
 }
 
+// TestEvalRejectsUnboundedRuns asserts sched and workload specs whose run
+// has no practical end — more satellites than sched.MaxSatellites, more
+// arrivals than sched.MaxArrivals, more steps than qos.MaxSteps, more
+// candidate draws than workload.MaxDraws — decode as valid specs but are
+// refused with a 422 by the simulators' checks, which run before any
+// event is queued or any request drawn.
+func TestEvalRejectsUnboundedRuns(t *testing.T) {
+	s := New(Config{})
+	for _, body := range []string{
+		`{"sched":{"satellites":1,"duration_sec":1e12}}`,
+		`{"sched":{"satellites":100000000}}`,
+		`{"workload":{"load":1e6}}`,
+		`{"workload":{"policy":"priority","load":1,"duration_sec":1e12}}`,
+	} {
+		spec, err := decodeSpec([]byte(body))
+		if err != nil {
+			t.Errorf("body %s: decode: %v", body, err)
+			continue
+		}
+		if spec.Sched != nil {
+			cfg, _, err := spec.Sched.config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Validate() == nil {
+				t.Errorf("body %s: sched config accepted", body)
+				continue
+			}
+		}
+		if w := post(t, s, "/v1/eval", body); w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("body %s: status %d, want 422: %s", body, w.Code, w.Body.String())
+		}
+	}
+	if w := get(t, s, "/healthz"); w.Code != http.StatusOK {
+		t.Errorf("healthz after unbounded specs: status %d", w.Code)
+	}
+}
+
 // TestEvalOverload asserts the admission gate: with one slot and no
 // queue, a second concurrent eval is rejected 429 with a Retry-After
 // hint while the first completes normally.

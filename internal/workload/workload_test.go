@@ -39,7 +39,7 @@ func TestGeneratorValidation(t *testing.T) {
 		"amp ≥ 1":          func(s *Spec) { s.DiurnalAmp = 1 },
 		"negative amp":     func(s *Spec) { s.DiurnalAmp = -0.1 },
 		"zero duration":    func(s *Spec) { s.DurationSec = 0 },
-		"burst no peak":    func(s *Spec) { s.BurstRatePerSec = 1e-3; s.BurstPeakPerSec = 0 },
+		"burst no peak":    func(s *Spec) { s.BurstOnsets = []float64{10}; s.BurstPeakPerSec = 0 },
 		"onset past end":   func(s *Spec) { s.BurstOnsets = []float64{1e6}; s.BurstPeakPerSec = 10 },
 		"negative onset":   func(s *Spec) { s.BurstOnsets = []float64{-1}; s.BurstPeakPerSec = 10 },
 		"shares not unity": func(s *Spec) { s.Classes = []Class{{Name: "a", Share: 0.5, DeadlineSec: 1, Bits: 1, Frames: 1}} },
@@ -62,9 +62,32 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
+// TestGeneratorDrawCap checks New refuses a stream whose expected
+// candidate draws exceed MaxDraws, by rate and by duration, before drawing
+// anything; the serve daemon's {"workload":{"load":1e6}} is the first kind.
+func TestGeneratorDrawCap(t *testing.T) {
+	// baseSpec's envelope is 75 req/s (50 × 1.5).
+	atCap := baseSpec()
+	atCap.DurationSec = MaxDraws / 75
+	if _, err := New(atCap); err != nil {
+		t.Errorf("spec at the cap rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Spec){
+		"rate":     func(s *Spec) { s.BaseRatePerSec = 1e8 },
+		"duration": func(s *Spec) { s.DurationSec = 1e12 },
+		"burst":    func(s *Spec) { s.BurstOnsets = []float64{0}; s.BurstPeakPerSec = MaxDraws },
+	} {
+		s := baseSpec()
+		mutate(&s)
+		if _, err := New(s); err == nil {
+			t.Errorf("%s over the draw cap accepted", name)
+		}
+	}
+}
+
 func TestGeneratorDeterministic(t *testing.T) {
 	s := baseSpec()
-	s.BurstRatePerSec = 1.0 / 900
+	s.BurstOnsets = []float64{900, 1800, 2700}
 	s.BurstPeakPerSec = 100
 	a := collect(t, s)
 	b := collect(t, s)
@@ -247,11 +270,8 @@ func TestGeneratorAllocsFlat(t *testing.T) {
 
 func BenchmarkGeneratorNext(b *testing.B) {
 	s := baseSpec()
-	s.DurationSec = math.Inf(1)
-	s.BurstRatePerSec = 1.0 / 600
+	s.BurstOnsets = []float64{600, 1200, 1800, 2400, 3000}
 	s.BurstPeakPerSec = 100
-	// Infinite duration fails validation; bound it far beyond b.N instead.
-	s.DurationSec = 1e12
 	g, err := New(s)
 	if err != nil {
 		b.Fatal(err)
@@ -259,7 +279,10 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, ok := g.Next(); !ok {
-			b.Fatal("stream ended")
+			// The hour is spent (about 200k requests): start it again.
+			if g, err = New(s); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
