@@ -10,8 +10,9 @@
 // Instrumented hot paths therefore resolve their handles once up front and
 // pay a single nil-check per site when observability is disabled — no map
 // lookups, no locks, no allocations. Metrics never feed back into the
-// code they observe, so instrumenting a deterministic simulator cannot
-// perturb its results.
+// code they observe, without exception: no engine reads a registry or
+// subscribes to one to decide anything, so instrumenting a deterministic
+// simulator cannot perturb its results.
 package obs
 
 import (

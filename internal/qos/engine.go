@@ -24,9 +24,17 @@ type NetworkConfig struct {
 	BaseLatencySec float64
 }
 
-// netQueueSec caps the transfer backlog at this many seconds of capacity;
-// arrivals beyond it are shed as overflow.
-const netQueueSec = 5
+// The engine's fixed limits: its time step, the transfer backlog (in
+// seconds of network capacity) and the compute queue (in target batches)
+// past which arrivals are shed, the pending retries past which a retry is
+// a permanent shed, and how far degradation may throttle admission.
+const (
+	stepSec           = 0.1
+	netQueueSec       = 5
+	compQueueBatches  = 64
+	retryQueueLimit   = 4096
+	minAdmissionScale = 0.05
+)
 
 // ComputeConfig is the SµDC compute stage: delivered requests queue per
 // class and launch as batches of at most TargetBatch frames through
@@ -38,18 +46,13 @@ type ComputeConfig struct {
 	Proc sched.Processor
 	// PixelsPerFrame sizes one frame's inference input. Zero means 1e6.
 	PixelsPerFrame float64
-	// TargetBatch is the batch size in frames: a batch launches once this
-	// many frames are queued, and never holds more unless its first
-	// request alone is larger.
+	// TargetBatch is the batch size in frames: the queue depth that
+	// launches a batch, and its cap unless its first request is larger.
 	TargetBatch int
 	// MaxWaitSec bounds how long the oldest delivered request waits before
 	// a partial batch launches. Zero means 5 s.
 	MaxWaitSec float64
 }
-
-// compQueueBatches caps queued frames across classes at this many target
-// batches; overflow is shed.
-const compQueueBatches = 64
 
 // withDefaults fills zero fields.
 func (c ComputeConfig) withDefaults() ComputeConfig {
@@ -165,15 +168,11 @@ type Scenario struct {
 	Obs *obs.Registry
 }
 
-// stepSec is the engine's time step.
-const stepSec = 0.1
-
-// MaxSteps caps a run's time steps, Workload.DurationSec / 0.1. Run reads
-// no context, so without it a long duration would hold a run, and a
-// daemon admission slot, for hours. It is 218× the largest step count any
-// experiment, test, pin, example or benchmark runs (4,800: 480 s). An
-// ext-workload scenario at load 0.5 runs 2^20 steps (2.3 million requests)
-// in 1.0 s (2-vCPU Intel Xeon, Go 1.24.0).
+// MaxSteps caps a run's time steps, Workload.DurationSec / 0.1: Run reads
+// no context, so a long duration would hold a run, and a daemon admission
+// slot, for hours. It is 218× the largest count any experiment, test, pin,
+// example or benchmark runs (4,800). An ext-workload scenario at load 0.5
+// runs 2^20 steps in 1.0 s (2-vCPU Intel Xeon, Go 1.24.0).
 const MaxSteps = 1 << 20
 
 // ClassResult is one priority class's outcome.
@@ -308,8 +307,7 @@ type engine struct {
 	sc      Scenario
 	classes []workload.Class
 	adm     *Admission
-	dev     sched.Device
-	rng     *rand.Rand
+	dev     sched.Device // its Rng also draws retry jitter
 	retry   RetryPolicy
 	scale   float64 // admission-rate multiplier (see admissionScale)
 
@@ -351,7 +349,6 @@ func Run(sc Scenario) (Result, error) {
 		return Result{}, err
 	}
 
-	rng := rand.New(rand.NewSource(sc.Seed))
 	e := &engine{
 		sc:      sc,
 		classes: gen.Classes(),
@@ -359,9 +356,8 @@ func Run(sc Scenario) (Result, error) {
 		dev: sched.Device{
 			Proc:           sc.Compute.Proc,
 			PixelsPerFrame: sc.Compute.PixelsPerFrame,
-			Rng:            rng,
+			Rng:            rand.New(rand.NewSource(sc.Seed)),
 		},
-		rng:          rng,
 		retry:        sc.Policy.Retry,
 		scale:        1,
 		netQ:         make([][]item, len(gen.Classes())),
@@ -381,7 +377,7 @@ func Run(sc Scenario) (Result, error) {
 
 	// An upset batch is corrupt: no recovery policy runs, so the campaign
 	// hazard is the executor's only fault input.
-	e.dev.Faults = &sched.FaultConfig{Hazard: e.hazardAt}
+	e.dev.Faults = &sched.FaultConfig{Hazard: func(float64) float64 { return e.hazard }}
 	if gov := sc.Governor; gov != nil {
 		gov.Reset()
 		gov.Instrument(sc.Obs)
@@ -633,7 +629,7 @@ func (e *engine) reject(now float64, it item, reason int) {
 	if e.retry.enabled() && int(it.attempt)+1 < e.retry.MaxAttempts && len(e.retries) < retryQueueLimit {
 		it.attempt++
 		it.bits = e.classes[cls].Bits
-		e.retries.push(retryEntry{due: now + e.retry.backoff(int(it.attempt), e.rng), it: it})
+		e.retries.push(retryEntry{due: now + e.retry.backoff(int(it.attempt), e.dev.Rng), it: it})
 		e.res.Retries++
 		return
 	}
@@ -819,54 +815,43 @@ func (e *engine) launchBatch(launch float64) {
 	frames := 0
 
 	// Take whole items in strict priority order — class 0 drains fully
-	// before class 1 contributes — until the batch is full. The first item
-	// is always taken so an oversized request cannot wedge the queue, and
-	// the fill stops at the first item that does not fit (skipping it for
-	// a smaller lower-priority one would invert the priority order).
+	// before class 1 contributes — until the batch is full; class-blind
+	// policies give each slot to the longest-delivered head instead, ties
+	// to the higher priority. The first item is always taken so an
+	// oversized request cannot wedge the queue, and the fill stops at the
+	// first item that does not fit (skipping it for a smaller later one
+	// would invert the service order).
 	taken := e.taken
 	for i := range taken {
 		taken[i] = 0
 	}
 	total := 0
-	if e.sc.Policy.ClassBlind {
-		// Arrival-order fill: each slot goes to the longest-delivered head.
-		for {
-			best, bestReady := -1, math.Inf(1)
-			for cls := range e.compQ {
-				q := e.compQ[cls]
-				if taken[cls] < len(q) && q[taken[cls]].ready < bestReady {
-					best, bestReady = cls, q[taken[cls]].ready
-				}
+	for {
+		best, bestReady := -1, math.Inf(1)
+		for cls, q := range e.compQ {
+			if taken[cls] == len(q) {
+				continue
 			}
-			if best < 0 {
+			if !e.sc.Policy.ClassBlind {
+				best = cls
 				break
 			}
-			f := e.classes[best].Frames
-			if total > 0 && frames+f > maxBatch {
-				break
-			}
-			taken[best]++
-			total++
-			frames += f
-			if frames >= maxBatch {
-				break
+			if q[taken[cls]].ready < bestReady {
+				best, bestReady = cls, q[taken[cls]].ready
 			}
 		}
-	} else {
-	fill:
-		for cls := range e.compQ {
-			for _, it := range e.compQ[cls] {
-				f := e.classes[it.class].Frames
-				if total > 0 && frames+f > maxBatch {
-					break fill
-				}
-				taken[cls]++
-				total++
-				frames += f
-				if frames >= maxBatch {
-					break fill
-				}
-			}
+		if best < 0 {
+			break
+		}
+		f := e.classes[best].Frames
+		if total > 0 && frames+f > maxBatch {
+			break
+		}
+		taken[best]++
+		total++
+		frames += f
+		if frames >= maxBatch {
+			break
 		}
 	}
 	if total == 0 {
@@ -905,27 +890,15 @@ func (e *engine) launchBatch(launch float64) {
 	}
 }
 
-// hazardAt is the campaign SEU rate as the executor's hazard function.
-func (e *engine) hazardAt(float64) float64 { return e.hazard }
-
-// minAdmissionScale is how far degradation may throttle admission: never
-// below 5% of the configured rates.
-const minAdmissionScale = 0.05
-
 // admissionScale folds the regime the governor last reported entering
 // into one admission-rate multiplier: the product of its capacity and keep
-// factors, each clamped to [0, 1], floored at minAdmissionScale.
+// factors, each capped at 1, floored (as is NaN) at minAdmissionScale.
 func admissionScale(gov *resilience.Governor) float64 {
 	capacity, keep := gov.Transitions()
-	return min(max(unitClamp(capacity)*unitClamp(keep), minAdmissionScale), 1)
-}
-
-// unitClamp clamps v to [0, 1], mapping NaN to 0.
-func unitClamp(v float64) float64 {
-	if math.IsNaN(v) || v < 0 {
-		return 0
+	if s := min(capacity, 1) * min(keep, 1); s >= minAdmissionScale {
+		return s
 	}
-	return min(v, 1)
+	return minAdmissionScale
 }
 
 // finish assembles the result.

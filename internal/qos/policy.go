@@ -134,9 +134,6 @@ type RetryPolicy struct {
 	JitterFrac float64
 }
 
-// retryQueueLimit caps pending retries; overflow is a permanent shed.
-const retryQueueLimit = 4096
-
 // withDefaults fills zero fields.
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseBackoffSec == 0 {

@@ -197,9 +197,8 @@ func (g *Governor) KeepFactor(t float64) float64 {
 }
 
 // Transitions returns the capacity and keep factors the latest derate and
-// shed transitions carried: the regime the governor last reported
-// entering, as its transition events report it, and not the live factors,
-// which keep moving inside a regime. Both are 1 before any transition.
+// shed transitions carried (1 before any): the regime the governor last
+// reported entering, not the live factors, which move inside a regime.
 func (g *Governor) Transitions() (capacity, keep float64) {
 	return g.lastCapacity, g.lastKeep
 }

@@ -12,19 +12,22 @@ import (
 // bit. Protection (and its time/energy overhead) switches on only while
 // the environment actually threatens upsets.
 
+// The policies' fixed limits: Retry's executions, first backoff and
+// backoff growth, Checkpoint's segment redos per batch (a runaway guard),
+// and a DMR pair's executions of one batch.
+const (
+	retryAttempts      = 3
+	retryBackoffSec    = 1
+	retryBackoffFactor = 2
+	checkpointMaxRedos = 1000
+	dmrRounds          = 3
+)
+
 // Retry re-executes an upset batch after exponential backoff, up to
 // retryAttempts executions — the cheapest software mitigation: no
 // steady-state overhead, but every upset costs a full redo and a batch
 // that exhausts its attempts is lost.
 type Retry struct{}
-
-// Retry's schedule: executions allowed, the delay before the first retry,
-// and its growth per retry.
-const (
-	retryAttempts   = 3
-	retryBackoffSec = 1
-	retryBackoffFac = 2
-)
 
 // Execute implements sched.RecoveryPolicy.
 func (Retry) Execute(e sched.BatchExec) sched.BatchOutcome {
@@ -36,7 +39,7 @@ func (Retry) Execute(e sched.BatchExec) sched.BatchOutcome {
 			e.Obs.Counter("resilience.retry.retries").Inc()
 			o.Secs += back
 			now += back
-			back *= retryBackoffFac
+			back *= retryBackoffFactor
 		}
 		p := e.RunOnce(now)
 		o.Accumulate(p)
@@ -75,9 +78,6 @@ type Checkpoint struct {
 	CheckpointSec float64 // cost of writing one checkpoint; 0 = 0.5
 	RestartSec    float64 // reload cost after an upset; 0 = CheckpointSec
 }
-
-// checkpointMaxRedos caps a batch's segment redos (a runaway guard).
-const checkpointMaxRedos = 1000
 
 // Execute implements sched.RecoveryPolicy.
 func (c Checkpoint) Execute(e sched.BatchExec) sched.BatchOutcome {
@@ -143,9 +143,6 @@ func (c Checkpoint) Execute(e sched.BatchExec) sched.BatchOutcome {
 type Replicated struct {
 	N int // replica count; 0 = 3 (TMR)
 }
-
-// dmrRounds caps a DMR pair's executions of one batch.
-const dmrRounds = 3
 
 // replicas returns the effective replica count.
 func (r Replicated) replicas() int {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 
-	"spacedc/internal/obs"
 	"spacedc/internal/sched"
 )
 
@@ -52,10 +51,8 @@ func StandardPolicies() []Policy {
 
 // PolicyNamed returns the recovery policy with the given name.
 func PolicyNamed(name string) (Policy, error) {
-	for _, p := range policies {
-		if p.Name == name {
-			return p, nil
-		}
+	if i := slices.IndexFunc(policies, func(p Policy) bool { return p.Name == name }); i >= 0 {
+		return policies[i], nil
 	}
 	return Policy{}, fmt.Errorf("resilience: unknown recovery policy %q", name)
 }
@@ -67,10 +64,6 @@ type Scenario struct {
 	Proc   sched.Processor
 	Env    *EnvTrace
 	Hazard HazardModel
-	// Obs, when non-nil, receives the simulator's metrics plus per-policy
-	// evaluation spans ("resilience.eval.<policy>"). Observability is
-	// write-only: results are identical with or without it.
-	Obs *obs.Registry
 }
 
 // The device's reset split: the share of upsets that hard-reset it
@@ -126,10 +119,7 @@ func (s Scenario) Evaluate(pol Policy, baseline sched.Stats) (Report, error) {
 		faults.PauseActive = s.Env.InSAAAt
 	}
 	cfg.Faults = faults
-	cfg.Obs = s.Obs
-	span := s.Obs.StartSpan("resilience.eval." + pol.Name)
 	st, err := sched.Simulate(cfg, s.Proc)
-	span.End()
 	if err != nil {
 		return Report{}, err
 	}

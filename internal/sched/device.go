@@ -83,15 +83,11 @@ type Device struct {
 	Rng            *rand.Rand   // the run's single random source
 	Obs            *obs.Registry
 
-	// Tallies over every launch.
-	EnergyJ     float64
-	BusySec     float64 // occupancy less reset downtime
-	ThrottleSec float64 // extra service time from thermal derating
-	DowntimeSec float64
-	Batches     int
-	Upsets      int
-	Resets      int
-	Throttled   int // batches launched derated
+	// Tallies over every launch: BusySec is occupancy less reset
+	// downtime, ThrottleSec the service time thermal derating added and
+	// Throttled the batches it stretched.
+	EnergyJ, BusySec, ThrottleSec, DowntimeSec float64
+	Batches, Upsets, Resets, Throttled         int
 }
 
 // Launch runs a batch of frames at now and returns how long it holds the

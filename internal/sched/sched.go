@@ -229,25 +229,21 @@ func (noMitigation) Execute(e BatchExec) BatchOutcome {
 	return o
 }
 
-// MaxSatellites caps Satellites: Simulate queues one arrival event per
-// satellite before its first step, so an unbounded count is unbounded
-// memory. It is 1,024× the largest count any experiment, test, pin,
-// example or benchmark runs (64, the mission-planner example).
+// MaxSatellites caps Satellites, since Simulate queues one event per
+// satellite up front. It is 1,024× the largest count any experiment, test,
+// pin, example or benchmark runs (64, the mission-planner example).
 const MaxSatellites = 1 << 16
 
 // MaxArrivals caps a run's frame arrivals, Satellites × DurationSec /
-// FramePeriodSec. Simulate reads no context, so without it a long
-// duration would hold a run, and a daemon admission slot, for hours. It is
-// 10× the largest arrival count any experiment, test, pin, example or
-// benchmark makes (3,225,600: 8 satellites for a week at 1.5 s). A run at
-// the cap with the daemon's defaults (8 satellites, flood detection on one
-// RTX 3090 at its optimal batch) takes 2.5 s at 4.3 MiB peak RSS (2-vCPU
-// Intel Xeon, Go 1.24.0).
+// FramePeriodSec: Simulate reads no context, so a long duration would hold
+// a run, and a daemon admission slot, for hours. It is 10× the largest
+// count any experiment, test, pin, example or benchmark makes (3,225,600:
+// 8 satellites for a week). A run at the cap on the daemon's defaults
+// takes 2.5 s at 4.3 MiB peak RSS (2-vCPU Intel Xeon, Go 1.24.0).
 const MaxArrivals = 1 << 25
 
-// Validate checks the config. Besides signs and ranges it bounds the run:
-// the satellites stay under MaxSatellites and the arrivals under
-// MaxArrivals.
+// Validate checks the config, including the MaxSatellites and
+// MaxArrivals bounds.
 func (c Config) Validate() error {
 	if c.Satellites <= 0 || c.Satellites > MaxSatellites {
 		return fmt.Errorf("sched: satellite count %d outside [1, %d]", c.Satellites, MaxSatellites)

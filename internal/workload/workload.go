@@ -177,14 +177,12 @@ type Generator struct {
 	nextOnset int
 }
 
-// MaxDraws caps a run's expected candidate draws, the thinning envelope
-// rate × DurationSec. Next reads no context and a run draws from the whole
-// envelope, so without it a high rate or a long duration would hold a run,
-// and a daemon admission slot, for hours. It is 18× the largest draw count
-// any experiment, test, pin, example or benchmark makes (900,000: 250
-// req/s for an hour). An ext-workload scenario at the cap (load 465 over
-// 360 s, 7.4 million requests) runs in 1.8 s, 1.6 s of it generating
-// (2-vCPU Intel Xeon, Go 1.24.0).
+// MaxDraws caps a run's expected candidate draws, the envelope rate ×
+// DurationSec: Next reads no context, so a high rate or a long duration
+// would hold a run, and a daemon admission slot, for hours. It is 18× the
+// largest count any experiment, test, pin, example or benchmark makes
+// (900,000). An ext-workload scenario at the cap (7.4 million requests)
+// runs in 1.8 s through qos (2-vCPU Intel Xeon, Go 1.24.0).
 const MaxDraws = 1 << 24
 
 // New builds a generator. The spec (with defaults applied) is validated
