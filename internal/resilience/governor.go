@@ -46,7 +46,7 @@ type Governor struct {
 	shedding  bool
 
 	// lastCapacity and lastKeep are the factors the latest derate and
-	// shed transitions carried, 1 before any (see Transitions).
+	// shed transitions carried; NewGovernor and Reset set them to 1.
 	lastCapacity, lastKeep float64
 }
 
@@ -197,8 +197,9 @@ func (g *Governor) KeepFactor(t float64) float64 {
 }
 
 // Transitions returns the capacity and keep factors the latest derate and
-// shed transitions carried (1 before any): the regime the governor last
-// reported entering, not the live factors, which move inside a regime.
+// shed transitions carried (1 before any since NewGovernor or Reset): the
+// regime the governor last reported entering, not the live factors, which
+// move inside a regime.
 func (g *Governor) Transitions() (capacity, keep float64) {
 	return g.lastCapacity, g.lastKeep
 }

@@ -7,9 +7,10 @@
 // The generator is a non-homogeneous Poisson process sampled by thinning,
 // streamed one request at a time: memory is O(bursts), never O(requests),
 // so a run can push millions of requests through the QoS layer without
-// materializing them, and New caps a run's candidate draws at MaxDraws. Every draw comes from one seeded rand.Rand, so a
-// spec (including its seed) fully determines the stream — bit-identical
-// across runs and worker counts, the same contract the simulators keep.
+// materializing them, and New caps a run's candidate draws at MaxDraws.
+// Every draw comes from one seeded rand.Rand, so a spec (including its
+// seed) fully determines the stream — bit-identical across runs and worker
+// counts, the same contract the simulators keep.
 //
 // Each request carries a priority class drawn from the spec's mix; the
 // class fixes its deadline (the per-class latency SLO), its network size
