@@ -76,8 +76,8 @@ type Scenario struct {
 	// WarmupSec excludes the initial transient from every metric. Zero
 	// means 10% of DurationSec.
 	WarmupSec float64
-	// Seed drives the fault and jitter randomness; runs are deterministic
-	// given a seed.
+	// Seed drives the link-outage and satellite-failure clocks, the run's
+	// only randomness; runs are deterministic given a seed.
 	Seed int64
 	// fullRecompute makes every fault-driven routing update run the full
 	// multi-source BFS instead of the incremental repair path. Both paths

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -169,6 +170,30 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 	if c.FaultEvents == a.FaultEvents && c.DeliveredSegs == a.DeliveredSegs {
 		t.Log("different seed produced identical run; suspicious but not fatal")
+	}
+}
+
+// TestSeedReadOnlyByFaultClocks: only link outage and satellite failures
+// draw from the seed, so a run without them returns the same Result under
+// any seed, eclipse included.
+func TestSeedReadOnlyByFaultClocks(t *testing.T) {
+	for _, eclipse := range []bool{false, true} {
+		sc := ringScenario(8)
+		sc.Topology.Tech = isl.Optical10G
+		sc.Faults.EclipseOutage = eclipse
+		sc.Seed = 1
+		a, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Seed = 99
+		b, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
+			t.Errorf("eclipse %v: seeds 1 and 99 differ:\n%+v\n%+v", eclipse, a, b)
+		}
 	}
 }
 

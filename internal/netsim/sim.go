@@ -37,10 +37,15 @@ func Run(scenario Scenario) (Result, error) {
 		hQBits = reg.Histogram("netsim.step_queue_bits", obs.SizeBuckets)
 		hUtil  = reg.Histogram("netsim.step_utilization", obs.RatioBuckets)
 	)
-	rng := rand.New(rand.NewSource(sc.Seed))
 	g, err := BuildGraph(sc.Topology)
 	if err != nil {
 		return Result{}, err
+	}
+	// Only the link and satellite fault clocks draw from the seed, so a
+	// run without them builds no source.
+	var rng *rand.Rand
+	if sc.Faults.LinkOutage > 0 || sc.Faults.SatMTBFSec > 0 {
+		rng = rand.New(rand.NewSource(sc.Seed))
 	}
 	fs := newFaultState(sc.Faults, sc.Topology, g, rng)
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -157,6 +158,54 @@ func FuzzSummarize(f *testing.F) {
 		}
 		if s.P95 > s.Max {
 			t.Fatalf("P95 %v > Max %v", s.P95, s.Max)
+		}
+	})
+}
+
+// FuzzObserveAll checks ObserveAll against one Observe per sample. The
+// samples come in any order, with NaN, ±Inf and repeats; edges turns the
+// samples it flags into bucket bounds or their float neighbours. They are
+// recorded on the latency layout, a short one, an empty one or one that
+// repeats bounds, in ObserveAll calls of 1 + cut%17 samples, and the two
+// histograms' full snapshots must match bit for bit.
+func FuzzObserveAll(f *testing.F) {
+	f.Add(bits(3, 2.5, 2.4, 1, 0.2, 0.01, 0.009), uint64(0), uint8(0), uint8(16))
+	f.Add(bits(0.1, 5, 0.1, 7200, 1e9, -1, 0.5), uint64(0), uint8(1), uint8(2))
+	f.Add(bits(math.NaN(), math.Inf(1), math.Inf(-1), 2, 2, 2, math.NaN()), uint64(0), uint8(0), uint8(0))
+	f.Add(bits(1, 2, 3, 4, 5, 6, 7, 8), uint64(0xff), uint8(0), uint8(3))
+	f.Add(bits(0.5, 1.5, 1, 0, math.Copysign(0, -1), 2), uint64(0x2a), uint8(3), uint8(5))
+	f.Add(bits(4, 3, 2), uint64(0), uint8(2), uint8(1))
+
+	layouts := [][]float64{LatencyBuckets, CountBuckets, nil, {0, 0, 1, 1, 2}}
+	f.Fuzz(func(t *testing.T, data []byte, edges uint64, layout, cut uint8) {
+		bounds := layouts[int(layout)%len(layouts)]
+		samples := floatsFromBytes(data)
+		for j, v := range samples {
+			if edges>>(j%64)&1 == 0 || len(bounds) == 0 {
+				continue
+			}
+			b := math.Float64bits(v)
+			edge := bounds[b%uint64(len(bounds))]
+			switch b >> 32 % 3 {
+			case 1:
+				edge = math.Nextafter(edge, math.Inf(-1))
+			case 2:
+				edge = math.Nextafter(edge, math.Inf(1))
+			}
+			samples[j] = edge
+		}
+		batched, single := NewHistogram(bounds), NewHistogram(bounds)
+		batched.ObserveAll(nil)
+		for rest, size := samples, 1+int(cut%17); len(rest) > 0; {
+			k := min(size, len(rest))
+			batched.ObserveAll(rest[:k])
+			rest = rest[k:]
+		}
+		for _, v := range samples {
+			single.Observe(v)
+		}
+		if b, s := fmt.Sprintf("%+v", batched.snapshot("")), fmt.Sprintf("%+v", single.snapshot("")); b != s {
+			t.Fatalf("ObserveAll(%v) on %v:\n got %s\nwant %s", samples, bounds, b, s)
 		}
 	})
 }

@@ -123,6 +123,45 @@ func (h *Histogram) ObserveN(v float64, n int) {
 	h.mu.Unlock()
 }
 
+// ObserveAll records the samples of vs in order under one lock, leaving
+// the histogram bit-identical to one Observe per sample: the running sum
+// adds them in order. Each bucket search starts at the previous sample's
+// bucket and the one below it, and binary-searches only when the sample
+// lies in neither, so a run of samples that never increase, such as a
+// FIFO batch's latencies, costs a comparison or two each. NaN samples are
+// dropped.
+func (h *Histogram) ObserveAll(vs []float64) {
+	if h == nil {
+		return
+	}
+	b := h.bounds
+	i := -1 // the previous sample's bucket; none yet
+	h.mu.Lock()
+	for _, v := range vs {
+		if math.IsNaN(v) {
+			continue
+		}
+		switch {
+		case i >= 0 && (i == 0 || b[i-1] < v) && (i == len(b) || v <= b[i]):
+			// The previous sample's bucket.
+		case i > 0 && (i == 1 || b[i-2] < v) && v <= b[i-1]:
+			i-- // the bucket below it
+		default:
+			i = sort.SearchFloat64s(b, v)
+		}
+		h.counts[i]++
+		if h.count == 0 || v < h.min {
+			h.min = v
+		}
+		if h.count == 0 || v > h.max {
+			h.max = v
+		}
+		h.count++
+		h.sum += v
+	}
+	h.mu.Unlock()
+}
+
 // AddN returns x after n sequential float64 additions of v (x += v, n
 // times), bit for bit, in time that grows with the binades the running
 // sum crosses rather than with n. n ≤ 0 returns x.

@@ -247,8 +247,8 @@ type item struct {
 	attempt int32 // failed attempts so far
 }
 
-// retryHeap is a typed min-heap on due time (the sched eventHeap pattern:
-// no interface boxing, no allocation per push beyond slice growth).
+// retryHeap is a typed min-heap on due time: no interface boxing, no
+// allocation per push beyond slice growth.
 type retryEntry struct {
 	due float64
 	it  item

@@ -36,7 +36,6 @@ func (Retry) Execute(e sched.BatchExec) sched.BatchOutcome {
 	back := float64(retryBackoffSec)
 	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
-			e.Obs.Counter("resilience.retry.retries").Inc()
 			o.Secs += back
 			now += back
 			back *= retryBackoffFactor
@@ -46,13 +45,9 @@ func (Retry) Execute(e sched.BatchExec) sched.BatchOutcome {
 		now += p.Secs
 		if !p.Upset {
 			o.Good = true
-			if attempt > 0 {
-				e.Obs.Counter("resilience.retry.recovered_batches").Inc()
-			}
 			return o
 		}
 	}
-	e.Obs.Counter("resilience.retry.exhausted_batches").Inc()
 	return o
 }
 
@@ -116,9 +111,7 @@ func (c Checkpoint) Execute(e sched.BatchExec) sched.BatchOutcome {
 		now += p.Secs
 		if p.Upset {
 			redos++
-			e.Obs.Counter("resilience.checkpoint.segment_redos").Inc()
 			if redos > checkpointMaxRedos {
-				e.Obs.Counter("resilience.checkpoint.abandoned_batches").Inc()
 				return o // give up: Good stays false
 			}
 			o.Secs += restart
@@ -174,24 +167,15 @@ func (r Replicated) Execute(e sched.BatchExec) sched.BatchOutcome {
 			o.Accumulate(p)
 			now += p.Secs
 			if p.Reset {
-				e.Obs.Counter("resilience.vote.replica_reruns").Inc()
 				p2 := e.RunOnce(now)
 				o.Accumulate(p2)
 				now += p2.Secs
 				if p2.Reset {
 					survivors--
-					e.Obs.Counter("resilience.vote.replicas_lost").Inc()
 				}
 			}
 		}
 		o.Good = survivors >= n/2+1
-		if o.Good {
-			if o.Upsets > 0 {
-				e.Obs.Counter("resilience.vote.outvoted_upsets").Add(o.Upsets)
-			}
-		} else {
-			e.Obs.Counter("resilience.vote.majority_lost_batches").Inc()
-		}
 		return o
 	}
 	// Dual modular redundancy: both copies must finish upset-free to
@@ -208,12 +192,8 @@ func (r Replicated) Execute(e sched.BatchExec) sched.BatchOutcome {
 		}
 		if clean {
 			o.Good = true
-			if round > 0 {
-				e.Obs.Counter("resilience.vote.dmr_reexecutions").Add(round)
-			}
 			return o
 		}
 	}
-	e.Obs.Counter("resilience.vote.dmr_exhausted_batches").Inc()
 	return o
 }

@@ -7,7 +7,6 @@ import (
 
 	"spacedc/internal/apps"
 	"spacedc/internal/gpusim"
-	"spacedc/internal/obs"
 )
 
 // DeviceProcessor adapts a gpusim performance model to the scheduler's
@@ -81,7 +80,6 @@ type Device struct {
 	Thermal        ThermalHook  // nil = never derated
 	Faults         *FaultConfig // nil = fault-free; only Hazard, the reset split and Recovery are read
 	Rng            *rand.Rand   // the run's single random source
-	Obs            *obs.Registry
 
 	// Tallies over every launch: BusySec is occupancy less reset
 	// downtime, ThrottleSec the service time thermal derating added and
@@ -127,7 +125,6 @@ func (d *Device) Launch(now float64, frames int) (secs float64, good bool) {
 			ResetFraction: f.ResetFraction,
 			ResetMTTRSec:  f.ResetMTTRSec,
 			Rng:           d.Rng,
-			Obs:           d.Obs,
 		})
 		secs, joules, good, down = out.Secs, out.Joules, out.Good, out.DownSec
 		d.Upsets += out.Upsets

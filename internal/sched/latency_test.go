@@ -81,9 +81,8 @@ func TestP95FromBucketsTracksExact(t *testing.T) {
 
 // TestSimulateAllocsMemoryFlat is the O(buckets)-not-O(frames) guard: a
 // 10× longer mission (10× the frames) must not allocate meaningfully more
-// than the short one. Before the histogram accumulator and the typed event
-// heap, both the latency slice and the event boxing grew allocations
-// linearly with frame count.
+// than the short one, so neither latency accounting nor the frame
+// calendar may allocate per frame.
 func TestSimulateAllocsMemoryFlat(t *testing.T) {
 	run := func(durationSec float64) func() {
 		cfg := Config{
@@ -106,7 +105,7 @@ func TestSimulateAllocsMemoryFlat(t *testing.T) {
 	if long > short+32 {
 		t.Errorf("10× frames cost %v allocs vs %v: latency accounting is not memory-flat", long, short)
 	}
-	// Absolute ceiling: fixed setup (rng, heap, queue, histogram) only.
+	// Absolute ceiling: fixed setup (rng, calendar, queue, histogram) only.
 	if long > 150 {
 		t.Errorf("long mission allocated %v times, want O(buckets) setup only (≤150)", long)
 	}

@@ -62,7 +62,7 @@ type Config struct {
 	// Thermal lets a thermal model derate the device (nil = never).
 	Thermal ThermalHook
 	// Obs, when non-nil, receives per-batch spans, queue-wait and
-	// service-time histograms, and upset/recovery counters (see
+	// service-time histograms, and upset counters (see
 	// internal/obs). Observability never feeds back into the simulation;
 	// instrumented runs are bit-identical to bare ones.
 	Obs *obs.Registry
@@ -124,11 +124,6 @@ type BatchExec struct {
 	ResetFraction float64
 	ResetMTTRSec  float64
 	Rng           *rand.Rand
-	// Obs is the simulation's observability registry (nil when disabled),
-	// letting recovery policies count their retry/checkpoint/vote outcomes
-	// without threading extra state. Policies must only record through it,
-	// never read from it.
-	Obs *obs.Registry
 }
 
 // HazardAt returns the sanitized upset rate at time t.
@@ -310,71 +305,67 @@ func (s Stats) EnergyPerFrameJ() float64 {
 // stall the simulation with near-infinite service times.
 const minThrottleFactor = 0.01
 
-// event kinds for the simulation heap.
-const (
-	evArrival = iota
-	evServiceDone
-)
-
-type event struct {
-	time float64
-	kind int
-	sat  int // arrival source
+// calendar orders the satellites' next frame arrivals as a ring sorted by
+// time, FIFO among equal times. Every satellite shares one frame period at
+// a staggered phase, so the arrivals come round-robin in satellite order:
+// the next one is the head's, and the satellite that arrived re-enters at
+// the tail with its next time.
+//
+// A next time is the running sum now + period, so a satellite's k-th time
+// carries at most k²·P·2^-53 of accumulated rounding, and two neighbours
+// on the ring, P/N apart, can swap only once k²·N ≥ 2^52. Validate's
+// MaxArrivals bounds k·N by 2^25, so with N ≥ 2, k²·N ≤ 2^49: for any run
+// Config admits, advance's comparison with the entry ahead never fails.
+// An entry that does arrive out of order walks back past the later ones,
+// so the ring stays exact for any times.
+type calendar struct {
+	slots []arrivalSlot
+	head  int
 }
 
-// eventHeap is a typed binary min-heap on event.time. It specializes
-// container/heap's sift algorithms verbatim so the pop order — including
-// ties — is identical to the interface-based implementation it replaced,
-// while avoiding the per-push interface boxing that made the event loop
-// allocate O(frames) over a run.
-type eventHeap []event
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
+type arrivalSlot struct {
+	at  float64 // next arrival time
+	sat int
 }
 
-func (h *eventHeap) pop() event {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	h.down(0, n)
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func (h eventHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || h[i].time <= h[j].time {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+// newCalendar staggers n satellites' phases uniformly across the period,
+// as a formation flying over adjacent ground frames would be.
+func newCalendar(n int, period float64) calendar {
+	c := calendar{slots: make([]arrivalSlot, n)}
+	for s := range c.slots {
+		c.slots[s] = arrivalSlot{at: period * float64(s) / float64(n), sat: s}
 	}
+	return c
 }
 
-func (h eventHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+// advance re-enters the head's satellite at time t, behind every entry no
+// later than t.
+func (c *calendar) advance(t float64) {
+	q := c.slots
+	i := c.head
+	c.head++
+	if c.head == len(q) {
+		c.head = 0
+	}
+	q[i].at = t
+	for i != c.head {
+		j := i - 1
+		if j < 0 {
+			j = len(q) - 1
+		}
+		if q[j].at <= t {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].time < h[j1].time {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if h[i].time <= h[j].time {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
+		q[i], q[j] = q[j], q[i]
 		i = j
 	}
 }
 
 // Simulate runs the discrete-event simulation and returns its statistics.
+// Events run in time order: the next frame arrival from the calendar, or
+// the pending batch's completion when it is earlier. An arrival and a
+// completion at the same instant run arrival first, and simultaneous
+// arrivals in calendar order.
 func Simulate(cfg Config, proc Processor) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
@@ -407,7 +398,6 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		Thermal:        cfg.Thermal,
 		Faults:         cfg.Faults,
 		Rng:            rng,
-		Obs:            reg,
 	}
 
 	// Latency accumulator: a fixed-bucket histogram instead of a
@@ -421,18 +411,14 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 	// end, so -metrics runs still expose the full latency distribution.
 	lat := obs.NewHistogram(obs.LatencyBuckets)
 
-	var h eventHeap
-	// Stagger satellite frame phases uniformly across the period, as a
-	// formation flying over adjacent ground frames would be.
-	for s := 0; s < cfg.Satellites; s++ {
-		phase := cfg.FramePeriodSec * float64(s) / float64(cfg.Satellites)
-		h.push(event{time: phase, kind: evArrival, sat: s})
-	}
+	cal := newCalendar(cfg.Satellites, cfg.FramePeriodSec)
 
 	var (
 		stats    Stats
 		queue    []float64 // arrival times of queued frames (FIFO)
+		lats     []float64 // a batch's frame latencies, recorded under one lock
 		busy     bool
+		doneAt   float64 // the launched batch's completion, while busy
 		batchSum int
 	)
 
@@ -445,10 +431,18 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		secs, good := dev.Launch(now, n)
 		done := now + secs
 		if good {
+			// The queue, not MaxBatch (which a spec may set far above any
+			// batch a run forms), sizes the latency buffer.
+			if cap(lats) < n {
+				lats = make([]float64, 0, min(maxBatch, cap(queue)))
+			}
+			lats = lats[:0]
 			for _, arr := range queue[:n] {
-				l := done - arr
-				lat.Observe(l)
-				if latencyTap != nil {
+				lats = append(lats, done-arr)
+			}
+			lat.ObserveAll(lats)
+			if latencyTap != nil {
+				for _, l := range lats {
 					latencyTap(l)
 				}
 			}
@@ -476,7 +470,7 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		queue = queue[:rest]
 		batchSum += n
 		busy = true
-		h.push(event{time: done, kind: evServiceDone})
+		doneAt = done
 	}
 
 	// shouldLaunch applies the batching policy (and the compute pause).
@@ -493,30 +487,33 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		return cfg.MaxWaitSec > 0 && now-queue[0] >= cfg.MaxWaitSec
 	}
 
-	for len(h) > 0 {
-		ev := h.pop()
-		if ev.time > cfg.DurationSec {
+	for {
+		next := cal.slots[cal.head]
+		now := next.at
+		arrival := !busy || now <= doneAt
+		if !arrival {
+			now = doneAt
+		}
+		if now > cfg.DurationSec {
 			break
 		}
-		now := ev.time
-		switch ev.kind {
-		case evArrival:
-			// Schedule this satellite's next frame.
-			h.push(event{time: now + cfg.FramePeriodSec, kind: evArrival, sat: ev.sat})
+		if arrival {
+			cal.advance(now + cfg.FramePeriodSec)
 			keep := 1.0
 			if cfg.KeepProb != nil {
-				keep = cfg.KeepProb(ev.sat, now)
+				keep = cfg.KeepProb(next.sat, now)
 			}
-			if rng.Float64() >= keep {
-				break // early-discarded on the EO satellite
-			}
-			stats.Arrived++
-			if len(queue) >= queueLimit {
+			switch {
+			case rng.Float64() >= keep:
+				// Early-discarded on the EO satellite.
+			case len(queue) >= queueLimit:
+				stats.Arrived++
 				stats.Dropped++
-				break
+			default:
+				stats.Arrived++
+				queue = append(queue, now)
 			}
-			queue = append(queue, now)
-		case evServiceDone:
+		} else {
 			busy = false
 		}
 		if !busy && shouldLaunch(now) {

@@ -34,7 +34,7 @@ func BenchmarkSimulateHour(b *testing.B) {
 
 // BenchmarkSimulateWeekMemoryFlat is the month-scale-mission allocation
 // guard: a week of simulated time (~3.2M frames) must allocate O(buckets),
-// not O(frames) — the histogram latency accumulator, the typed event heap,
+// not O(frames) — the histogram latency accumulator, the frame calendar,
 // and the compacting FIFO keep the whole run under a fixed allocation
 // budget regardless of duration.
 func BenchmarkSimulateWeekMemoryFlat(b *testing.B) {
