@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"spacedc/internal/isl"
@@ -108,6 +109,47 @@ func TestBigGridAllocsCeiling(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Errorf("big-grid run allocated %v times, over the ceiling of %v", allocs, ceiling)
+	}
+}
+
+// TestMegaConstellationAllocsCeiling gates the allocations and the bytes
+// of one shortened run of the mega-constellation smoke's shape: 20,000
+// satellites for 20 s after a 5 s warm-up. The step calendar measured
+// 182,433–182,434 allocations and 23,058,432–23,058,456 bytes per run at
+// GOMAXPROCS 1 (Go 1.24.0, linux/amd64, 2026-10-19), against 182,432 and
+// 23,705,528 for the binary-heap queues it replaced. Each ceiling is the
+// higher count plus 1%.
+func TestMegaConstellationAllocsCeiling(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("a 20,000-satellite run; the race detector allocates on its own")
+	}
+	sc := bigGridScenario(7, false)
+	sc.Name = "mega-constellation"
+	sc.Topology.Sats = 20000
+	sc.DurationSec, sc.WarmupSec = 20, 5
+	const allocCeiling, byteCeiling = 182434 * 1.01, 23058456 * 1.01
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func() {
+		if _, err := Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm up, as testing.AllocsPerRun does
+	const runs = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f allocations, %.0f bytes per run", allocs, bytes)
+	if allocs > allocCeiling {
+		t.Errorf("mega-constellation run allocated %v times, over the ceiling of %v", allocs, allocCeiling)
+	}
+	if bytes > byteCeiling {
+		t.Errorf("mega-constellation run allocated %v bytes, over the ceiling of %v", bytes, byteCeiling)
 	}
 }
 

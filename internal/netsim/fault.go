@@ -48,13 +48,15 @@ func (fc FaultConfig) withDefaults() FaultConfig {
 	return fc
 }
 
-// Validate checks the regime.
+// Validate checks the regime; a NaN or infinite clock never comes due.
 func (fc FaultConfig) Validate() error {
-	if fc.LinkOutage < 0 || fc.LinkOutage >= 1 {
+	if !(fc.LinkOutage >= 0 && fc.LinkOutage < 1) {
 		return fmt.Errorf("netsim: link outage fraction %v outside [0,1)", fc.LinkOutage)
 	}
-	if fc.LinkMTTRSec < 0 || fc.SatMTBFSec < 0 || fc.SatMTTRSec < 0 {
-		return fmt.Errorf("netsim: negative MTBF/MTTR")
+	for _, v := range []float64{fc.LinkMTTRSec, fc.SatMTBFSec, fc.SatMTTRSec} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("netsim: MTBF/MTTR %v is not non-negative and finite", v)
+		}
 	}
 	return nil
 }
@@ -81,6 +83,9 @@ func expSample(rng *rand.Rand, mean float64) float64 {
 type faultState struct {
 	cfg FaultConfig
 	rng *rand.Rand
+	// dt and steps are the run's step length and count.
+	dt    float64
+	steps int
 	// eclipse sweep geometry, indexed by shell: the fraction of each
 	// shell's plane in shadow and the period of one sweep. Single-shell
 	// specs get one entry; specs without an eclipse regime on optical
@@ -96,15 +101,13 @@ type faultState struct {
 	// Events counts state transitions (for the run report).
 	Events int
 
-	// linkClock and nodeClock index the fault processes by next transition
-	// time, so update pops exactly the links and satellites due this step
-	// instead of scanning the whole population every step — O(transitions
-	// log n) against the old O(links + sats) per step. Due entries are
-	// processed in ascending ID order, the order the scan visited them, so
-	// the RNG draw sequence (and therefore every Result) is unchanged.
-	// newFaultState fills both heaps once; due is the reused pop buffer.
-	linkClock flipHeap
-	nodeClock flipHeap
+	// linkClock and nodeClock, nil while their process is off, file each
+	// link and satellite by ID at the first step whose time reaches its next
+	// transition (none past the last step), so update visits only the clocks
+	// due, in ascending ID order as a scan of the population would: the RNG
+	// draws in that order. due is the reused take buffer.
+	linkClock *calendar
+	nodeClock *calendar
 	due       []int
 	// flipped lists, in ascending ID order, the satellites whose Up the
 	// last update changed: the sources whose generation stops or resumes.
@@ -126,70 +129,17 @@ type shadowArc struct {
 	edges  []int
 }
 
-// flipEntry is one clock in a flipHeap: an ID and the time it is next
-// due.
-type flipEntry struct {
-	t  float64
-	id int
-}
-
-// flipHeap is a binary min-heap of clocks ordered by due time (ties by
-// ID, for a deterministic pop order): the fault processes' transitions,
-// and the sources' emissions and timers by step.
-type flipHeap []flipEntry
-
-func (h flipHeap) less(i, j int) bool {
-	return h[i].t < h[j].t || (h[i].t == h[j].t && h[i].id < h[j].id)
-}
-
-// push inserts a clock.
-func (h *flipHeap) push(e flipEntry) {
-	*h = append(*h, e)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
+// newFaultState seeds the processes over g for a run of steps steps of dt
+// seconds: every link, then every satellite, draws its first transition
+// time at t = 0 from seed. Only these clocks draw, so a run without them
+// builds no source. Only optical terminals under EclipseOutage get the
+// eclipse sweep, so a node is ever eclipsed only where its shadow takes its
+// links down.
+func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, seed int64, dt float64, steps int) *faultState {
+	fs := &faultState{cfg: cfg, dt: dt, steps: steps}
+	if cfg.LinkOutage > 0 || cfg.SatMTBFSec > 0 {
+		fs.rng = rand.New(rand.NewSource(seed))
 	}
-}
-
-// popDue appends to due the ID of every clock with a transition at or
-// before now, removing those clocks from the heap.
-func (h *flipHeap) popDue(now float64, due []int) []int {
-	q := *h
-	for len(q) > 0 && q[0].t <= now {
-		due = append(due, q[0].id)
-		n := len(q) - 1
-		q[0] = q[n]
-		q = q[:n]
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && q.less(c+1, c) {
-				c++
-			}
-			if !q.less(c, i) {
-				break
-			}
-			q[i], q[c] = q[c], q[i]
-			i = c
-		}
-	}
-	*h = q
-	return due
-}
-
-// newFaultState seeds the processes over g: every link, then every
-// satellite, draws its first transition time at t = 0. Only optical
-// terminals under EclipseOutage get the eclipse sweep, so a node is ever
-// eclipsed only where its shadow takes its links down.
-func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *faultState {
-	fs := &faultState{cfg: cfg, rng: rng}
 	if cfg.EclipseOutage && ts.Tech.Optical {
 		for _, sh := range ts.stack() {
 			frac, period := eclipseFractionAt(sh.AltKm)
@@ -212,88 +162,76 @@ func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *
 		}
 	}
 	if cfg.LinkOutage > 0 {
-		mtbf := cfg.linkMTBF()
-		fs.linkClock = make(flipHeap, 0, len(g.Links))
+		fs.linkClock = newCalendar(len(g.Links), steps)
 		for _, l := range g.Links {
-			l.nextFlip = expSample(rng, mtbf)
-			fs.linkClock.push(flipEntry{t: l.nextFlip, id: l.ID})
+			l.nextFlip = expSample(fs.rng, cfg.linkMTBF())
+			fs.linkClock.file(l.ID, 0, dueStep(l.nextFlip, dt, 1, steps))
 		}
 	}
 	if cfg.SatMTBFSec > 0 {
-		fs.nodeClock = make(flipHeap, 0, len(g.Sources))
+		fs.nodeClock = newCalendar(len(g.nodes), steps)
 		for _, s := range g.Sources {
 			n := &g.nodes[s]
-			n.nextFlip = expSample(rng, cfg.SatMTBFSec)
-			fs.nodeClock.push(flipEntry{t: n.nextFlip, id: s})
+			n.nextFlip = expSample(fs.rng, cfg.SatMTBFSec)
+			fs.nodeClock.file(s, 0, dueStep(n.nextFlip, dt, 1, steps))
 		}
 	}
 	return fs
 }
 
-// update advances every fault process to time t and returns whether any
-// link or node changed state (the routing table must then be updated). It
-// lists in flipped the satellites whose Up it changed. All
-// transitions of a step — link flips, satellite flips, and the eclipse
-// sweep — are applied as one batch: each mutation first records the
-// affected links' pre-batch usability into the graph's pending batch
-// (noteLink/noteNode), and the caller folds the whole batch into the
-// routing table with a single repairRoutes (or full recompute) instead of
-// one per transition. A failed satellite loses the segments buffered on
-// its outgoing links; those losses count as drops only inside the
-// measurement window.
-func (fs *faultState) update(t float64, g *Graph, measure bool) bool {
+// update advances every fault process to step's time t, float64(step) × dt
+// as Run computes it, and returns whether any link or node changed state
+// (the routing table must then be updated). It lists in flipped the
+// satellites whose Up it changed. All transitions of a step (link flips,
+// satellite flips and the eclipse sweep) are applied as one batch: each
+// mutation first records the affected links' pre-batch usability into the
+// graph's pending batch (noteLink/noteNode), and the caller folds the whole
+// batch into the routing table with a single repairRoutes (or full
+// recompute). A failed satellite loses the segments buffered on its
+// outgoing links; those losses count as drops only inside the measurement
+// window.
+func (fs *faultState) update(step int, g *Graph, measure bool) bool {
+	t := float64(step) * fs.dt
 	changed := false
 	fs.flipped = fs.flipped[:0]
-	if fs.cfg.LinkOutage > 0 {
-		fs.due = fs.linkClock.popDue(t, fs.due[:0])
-		sort.Ints(fs.due)
-		mtbf := fs.cfg.linkMTBF()
-		for _, id := range fs.due {
-			l := g.Links[id]
-			g.noteLink(id)
-			for t >= l.nextFlip {
-				l.Up = !l.Up
-				fs.Events++
-				changed = true
-				if l.Up {
-					l.nextFlip += expSample(fs.rng, mtbf)
-				} else {
-					l.nextFlip += expSample(fs.rng, fs.cfg.LinkMTTRSec)
+	for _, id := range fs.linkClock.take(step, &fs.due) {
+		l := g.Links[id]
+		g.noteLink(id)
+		for t >= l.nextFlip {
+			l.Up = !l.Up
+			fs.Events++
+			changed = true
+			if l.Up {
+				l.nextFlip += expSample(fs.rng, fs.cfg.linkMTBF())
+			} else {
+				l.nextFlip += expSample(fs.rng, fs.cfg.LinkMTTRSec)
+			}
+		}
+		fs.linkClock.file(id, 0, dueStep(l.nextFlip, fs.dt, step+1, fs.steps))
+	}
+	for _, s := range fs.nodeClock.take(step, &fs.due) {
+		n := &g.nodes[s]
+		g.noteNode(s)
+		wasUp := n.Up
+		for t >= n.nextFlip {
+			n.Up = !n.Up
+			fs.Events++
+			changed = true
+			if n.Up {
+				n.nextFlip += expSample(fs.rng, fs.cfg.SatMTBFSec)
+			} else {
+				n.nextFlip += expSample(fs.rng, fs.cfg.SatMTTRSec)
+				for _, li := range g.out[s] {
+					g.Links[li].clearQueue(measure)
 				}
 			}
-			fs.linkClock.push(flipEntry{t: l.nextFlip, id: id})
 		}
-	}
-	if fs.cfg.SatMTBFSec > 0 {
-		fs.due = fs.nodeClock.popDue(t, fs.due[:0])
-		sort.Ints(fs.due)
-		for _, s := range fs.due {
-			n := &g.nodes[s]
-			g.noteNode(s)
-			wasUp := n.Up
-			for t >= n.nextFlip {
-				n.Up = !n.Up
-				fs.Events++
-				changed = true
-				if n.Up {
-					n.nextFlip += expSample(fs.rng, fs.cfg.SatMTBFSec)
-				} else {
-					n.nextFlip += expSample(fs.rng, fs.cfg.SatMTTRSec)
-					for _, li := range g.out[s] {
-						g.Links[li].clearQueue(measure)
-					}
-				}
-			}
-			if n.Up != wasUp {
-				fs.flipped = append(fs.flipped, s)
-			}
-			fs.nodeClock.push(flipEntry{t: n.nextFlip, id: s})
+		if n.Up != wasUp {
+			fs.flipped = append(fs.flipped, s)
 		}
+		fs.nodeClock.file(s, 0, dueStep(n.nextFlip, fs.dt, step+1, fs.steps))
 	}
-	if len(fs.arcs) > 0 {
-		changed = fs.updateEclipse(t, g) || changed
-	}
-	return changed
+	return fs.updateEclipse(t, g) || changed
 }
 
 // updateEclipse moves the shadow arc: satellite p is eclipsed while its

@@ -111,7 +111,8 @@ func faultClocksAcrossEpochs(t *testing.T, ts TopologySpec) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := newFaultState(cfg, ts, g, rand.New(rand.NewSource(1)))
+	const epochSec, epochs = 30, 4
+	fs := newFaultState(cfg, ts, g, 1, epochSec, epochs)
 	g.recomputeRoutes()
 	check := func(now float64) {
 		dead := func(v float64) bool { return v < now || math.IsInf(v, 1) }
@@ -127,11 +128,10 @@ func faultClocksAcrossEpochs(t *testing.T, ts TopologySpec) *Graph {
 		}
 	}
 	check(0)
-	const epochSec = 30
-	for now := float64(epochSec); now <= 4*epochSec; now += epochSec {
-		fs.update(now, g, true)
+	for step := 1; step <= epochs; step++ {
+		fs.update(step, g, true)
 		g.recomputeRoutes()
-		check(now)
+		check(float64(step) * epochSec)
 	}
 	if fs.Events == 0 {
 		t.Error("no fault transition in four epochs; the clocks were never exercised")
@@ -181,6 +181,14 @@ func TestFaultConfigValidate(t *testing.T) {
 		{LinkOutage: -0.1},
 		{LinkOutage: 1},
 		{SatMTBFSec: -1},
+		// Every parameter must be finite: a NaN clock never comes due.
+		{LinkOutage: math.NaN()},
+		{LinkOutage: 0.1, LinkMTTRSec: math.NaN()},
+		{LinkOutage: 0.1, LinkMTTRSec: math.Inf(1)},
+		{SatMTBFSec: math.NaN()},
+		{SatMTBFSec: math.Inf(1)},
+		{SatMTBFSec: 100, SatMTTRSec: math.NaN()},
+		{SatMTBFSec: 100, SatMTTRSec: math.Inf(1)},
 	}
 	for i, fc := range bad {
 		if fc.Validate() == nil {
@@ -283,8 +291,8 @@ func FuzzEclipseSweep(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := FaultConfig{EclipseOutage: true}
-		fs := newFaultState(cfg, ts, g, rng)
-		rfs := &refEclipse{faultState: newFaultState(cfg, ts, ref, rng)}
+		fs := newFaultState(cfg, ts, g, seed, dt, 0)
+		rfs := &refEclipse{faultState: newFaultState(cfg, ts, ref, seed, dt, 0)}
 		last := int(start) + 40 + rng.Intn(200)
 		for step := int(start) + 1; step <= last; step++ {
 			now := float64(step) * dt

@@ -215,7 +215,7 @@ func TestMultiShellEclipsePerShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := newFaultState(FaultConfig{EclipseOutage: true}, ts, g, nil)
+	fs := newFaultState(FaultConfig{EclipseOutage: true}, ts, g, 0, 1, 0)
 	if len(fs.eclipseFrac) != 2 || len(fs.periodSec) != 2 {
 		t.Fatalf("per-shell eclipse tables have %d/%d entries, want 2/2", len(fs.eclipseFrac), len(fs.periodSec))
 	}

@@ -182,7 +182,8 @@ func (sc Scenario) Validate() error {
 	if !(sc.WarmupSec >= 0 && sc.WarmupSec < sc.DurationSec) {
 		return fmt.Errorf("netsim: warmup %v outside (0, duration %v)", sc.WarmupSec, sc.DurationSec)
 	}
-	if sc.Transport.RTOSec <= 0 || sc.Transport.Backoff < 1 || sc.Transport.MaxAttempts < 1 {
+	if tc := sc.Transport; !(tc.RTOSec > 0 && tc.Backoff >= 1 && tc.MaxAttempts >= 1) ||
+		math.IsInf(tc.RTOSec, 1) || math.IsInf(tc.Backoff, 1) {
 		return fmt.Errorf("netsim: invalid transport %+v", sc.Transport)
 	}
 	if segs := float64(sc.Topology.TotalSats()) * perSat * sc.DurationSec / sc.SegmentBits; segs > MaxOfferedSegments {

@@ -243,6 +243,13 @@ func TestScenarioValidation(t *testing.T) {
 		ringWith(func(sc *Scenario) { sc.DurationSec = math.Inf(1) }),
 		ringWith(func(sc *Scenario) { sc.WarmupSec = math.NaN() }),
 		ringWith(func(sc *Scenario) { sc.WarmupSec = math.Inf(1) }),
+		// Fault and transport parameters must be finite.
+		ringWith(func(sc *Scenario) { sc.Faults.LinkOutage = math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.Faults.SatMTBFSec, sc.Faults.SatMTTRSec = 100, math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.Transport.RTOSec = math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.Transport.RTOSec = math.Inf(1) }),
+		ringWith(func(sc *Scenario) { sc.Transport.Backoff = math.NaN() }),
+		ringWith(func(sc *Scenario) { sc.Transport.Backoff = math.Inf(1) }),
 		// Steps and epochs must stay under MaxSteps.
 		ringWith(func(sc *Scenario) { sc.StepSec = 1e-9 }),
 		ringWith(func(sc *Scenario) { sc.EpochSec = 1e-9 }),

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"sort"
 
 	"spacedc/internal/obs"
@@ -41,17 +40,11 @@ func Run(scenario Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Only the link and satellite fault clocks draw from the seed, so a
-	// run without them builds no source.
-	var rng *rand.Rand
-	if sc.Faults.LinkOutage > 0 || sc.Faults.SatMTBFSec > 0 {
-		rng = rand.New(rand.NewSource(sc.Seed))
-	}
-	fs := newFaultState(sc.Faults, sc.Topology, g, rng)
+	steps := int(sc.DurationSec/sc.StepSec + 0.5)
+	fs := newFaultState(sc.Faults, sc.Topology, g, sc.Seed, sc.StepSec, steps)
 
 	// A step visits only the sources with an emission or a timer due; the
 	// graph is built once per run, so their node IDs never go stale.
-	steps := int(sc.DurationSec/sc.StepSec + 0.5)
 	params := &flowParams{rateBps: float64(sc.PerSat), segmentBits: sc.SegmentBits, cfg: sc.Transport}
 	fl := newFlows(g, g.Sources, params, sc.StepSec, steps)
 
@@ -135,7 +128,7 @@ func Run(scenario Scenario) (Result, error) {
 		// of a step's transitions are batched into the graph's pending
 		// usability record before any routing work happens. A satellite
 		// that failed or recovered settles its source's credit.
-		changed := fs.update(now, g, measure)
+		changed := fs.update(step, g, measure)
 		for _, id := range fs.flipped {
 			fl.flip(id, step)
 		}

@@ -73,15 +73,15 @@ type source struct {
 	// emits or its satellite fails or recovers.
 	credit  float64
 	settled int
-	// genAt and expAt are the steps the flows set next visits the source
-	// to emit and to run its timers, or 0 when it has none due in the run.
+	// genAt and expAt are the steps the flows set's calendars file the
+	// source's emission and timer walk at, or 0 for none in the run.
 	genAt, expAt int
 	// nextDeadline is a conservative lower bound on the earliest live
-	// deadline in the window: expire returns immediately while now is
-	// before it, and the flows set files the timer walk at the first step
-	// that reaches it. open lowers it on emission and expire re-tightens
-	// it on every walk; acks can only raise the true minimum, so the stale
-	// bound stays a valid lower bound and at worst costs one extra walk.
+	// deadline in the window: the flows set files the timer walk at the
+	// first step that reaches it. open lowers it on emission and expire
+	// re-tightens it on every walk; acks can only raise the true minimum,
+	// so the stale bound stays a valid lower bound and at worst costs one
+	// extra walk.
 	nextDeadline float64
 	*flowParams
 
@@ -172,9 +172,7 @@ func (s *source) open(first int64, n int, born, deadline float64) {
 		s.live[s.bitHead+int(lo>>6)] |= (^uint64(0) >> (64 - m)) << b
 		lo += m
 	}
-	if deadline < s.nextDeadline {
-		s.nextDeadline = deadline
-	}
+	s.nextDeadline = min(s.nextDeadline, deadline)
 }
 
 // trim pops dead groups off the front of the window and the bitmap words
@@ -330,9 +328,6 @@ func (s *source) dropAbandoned(lo, hi int64) int {
 // together; each stretch of consecutive ones leaves as one run, found a
 // bitmap word at a time.
 func (s *source) expire(now float64, alive bool, emit func(segRun)) (retransmits, abandoned int) {
-	if now < s.nextDeadline {
-		return 0, 0
-	}
 	next := math.Inf(1)
 	for gi := s.head; gi < len(s.groups); gi++ {
 		g := &s.groups[gi]
@@ -340,9 +335,7 @@ func (s *source) expire(now float64, alive bool, emit func(segRun)) (retransmits
 			continue
 		}
 		if now < g.deadline {
-			if g.deadline < next {
-				next = g.deadline
-			}
+			next = min(next, g.deadline)
 			continue
 		}
 		if int(g.attempts) >= s.cfg.MaxAttempts {
@@ -367,9 +360,7 @@ func (s *source) expire(now float64, alive bool, emit func(segRun)) (retransmits
 				emit(segRun{segment{flow: s.node, seq: seq, bits: s.segmentBits, born: g.born}, n})
 			})
 		}
-		if g.deadline < next {
-			next = g.deadline
-		}
+		next = min(next, g.deadline)
 	}
 	s.nextDeadline = next
 	s.trim()
@@ -377,34 +368,32 @@ func (s *source) expire(now float64, alive bool, emit func(segRun)) (retransmits
 }
 
 // flows is a run's set of sources, visited only on the steps they are due:
-// gen and exp queue each source, keyed by (step, source index), at the
-// step it next emits and the step its earliest timer comes due, so a
-// step costs its emissions and timeouts, not the source count. A step
-// pops its due sources in ascending index, so emissions and
-// retransmissions reach the link queues in source order. A queue entry
-// whose step no longer matches the source's genAt or expAt was superseded
-// and is skipped.
+// the gen and exp calendars file each source by index at the step it next
+// emits and the step its earliest timer comes due, so a step costs its
+// emissions and timeouts, not the source count. A step takes its due
+// sources in ascending index, so emissions and retransmissions reach the
+// link queues in source order.
 type flows struct {
 	*flowParams
 	src []source
-	// index maps a source's node ID to its position in src; nodes is the
-	// graph's node table, whose Up flags say which sources are live.
+	// index maps a source's node ID to its position in src; g is the run's
+	// graph, whose node Up flags say which sources are live.
 	index []int32
-	nodes []node
+	g     *Graph
 	// inc is a live source's credit per step, rate × dt; steps is the
 	// run's last step and dt its length.
 	inc   float64
 	dt    float64
 	steps int
-	gen   flipHeap
-	exp   flipHeap
-	due   []int // the reused pop buffer
-	// lastCredit and lastWait memoise emitWait: every source of a run
-	// shares the rate, step and segment size, so the wait depends only on
-	// the credit, and a source that emits whole segments restarts from
-	// the same credit each time.
-	lastCredit float64
-	lastWait   int
+	gen   calendar
+	exp   calendar
+	due   []int // the reused take buffer
+	// lastCredit, lastWait and lastSum memoise emitWait and the sum it
+	// waits for: every source of a run shares the rate, step and segment
+	// size, so both depend only on the credit, and a source that emits
+	// whole segments restarts from the same credit each time.
+	lastCredit, lastSum float64
+	lastWait            int
 }
 
 // newFlows sets up a source on every node of ids, with g's node table
@@ -414,12 +403,12 @@ func newFlows(g *Graph, ids []int, p *flowParams, dt float64, steps int) *flows 
 		flowParams: p,
 		src:        make([]source, len(ids)),
 		index:      make([]int32, len(g.nodes)),
-		nodes:      g.nodes,
+		g:          g,
 		inc:        float64(p.rateBps * dt), // rounded: no target fuses it into the sums
 		dt:         dt,
 		steps:      steps,
-		gen:        make(flipHeap, 0, len(ids)),
-		exp:        make(flipHeap, 0, len(ids)),
+		gen:        *newCalendar(len(ids), steps),
+		exp:        *newCalendar(len(ids), steps),
 	}
 	for i, id := range ids {
 		f.src[i] = newSource(id, p)
@@ -439,27 +428,24 @@ func (f *flows) of(id int) *source { return &f.src[f.index[id]] }
 func (f *flows) flip(id, step int) {
 	i := int(f.index[id])
 	s := &f.src[i]
-	if f.nodes[id].Up {
-		s.settled = step - 1
-		f.scheduleGen(i)
-		return
+	if !f.g.nodes[id].Up {
+		s.credit = obs.AddN(s.credit, f.inc, step-1-s.settled)
 	}
-	s.credit = obs.AddN(s.credit, f.inc, step-1-s.settled)
-	s.settled, s.genAt = step-1, 0
+	s.settled = step - 1
+	f.scheduleGen(i)
 }
 
 // generate emits the segments of every source due at step: its credit is
-// brought up through step, one float addition of inc per step as
-// obs.AddN sums them, and its whole segments leave as one run.
+// brought up through step, adding inc once a step as obs.AddN sums, and its
+// whole segments leave as one run. A due source has waited emitWait(credit)
+// steps since settled, so the credit and its sum are a memo entry.
 func (f *flows) generate(step int, now float64, emit func(segRun)) {
-	f.due = f.gen.popDue(float64(step), f.due[:0])
-	for _, i := range f.due {
+	for _, i := range f.gen.take(step, &f.due) {
 		s := &f.src[i]
-		if s.genAt != step {
-			continue
+		if k := step - s.settled; s.credit != f.lastCredit || k != f.lastWait {
+			f.lastCredit, f.lastWait, f.lastSum = s.credit, k, obs.AddN(s.credit, f.inc, k)
 		}
-		s.credit = obs.AddN(s.credit, f.inc, step-s.settled)
-		s.settled = step
+		s.credit, s.settled, s.genAt = f.lastSum, step, 0
 		s.release(now, emit)
 		f.scheduleGen(i)
 		f.scheduleExp(i, step)
@@ -469,13 +455,10 @@ func (f *flows) generate(step int, now float64, emit func(segRun)) {
 // expire runs the timers of every source with a deadline due at step and
 // returns the retransmission and abandonment counts.
 func (f *flows) expire(step int, now float64, emit func(segRun)) (retransmits, abandoned int) {
-	f.due = f.exp.popDue(float64(step), f.due[:0])
-	for _, i := range f.due {
+	for _, i := range f.exp.take(step, &f.due) {
 		s := &f.src[i]
-		if s.expAt != step {
-			continue
-		}
-		r, a := s.expire(now, f.nodes[s.node].Up, emit)
+		s.expAt = 0
+		r, a := s.expire(now, f.g.nodes[s.node].Up, emit)
 		retransmits += r
 		abandoned += a
 		f.scheduleExp(i, step+1)
@@ -484,59 +467,43 @@ func (f *flows) expire(step int, now float64, emit func(segRun)) (retransmits, a
 }
 
 // scheduleGen files source i's next emission: the first step after
-// settled whose accrual brings the credit to a whole segment.
+// settled whose accrual brings the credit to a whole segment, or none
+// while its satellite is down.
 func (f *flows) scheduleGen(i int) {
 	s := &f.src[i]
-	s.genAt = 0
-	if k := f.emitWait(s.credit, f.steps-s.settled); k > 0 {
-		s.genAt = s.settled + k
-		f.gen.push(flipEntry{t: float64(s.genAt), id: i})
+	at := 0
+	if k := f.emitWait(s.credit, f.steps-s.settled); k > 0 && f.g.nodes[s.node].Up {
+		at = s.settled + k
 	}
+	f.gen.file(i, s.genAt, at)
+	s.genAt = at
 }
 
 // scheduleExp files source i's timer walk at the first step, no earlier
-// than earliest, whose time, float64(step) × dt as Run computes it,
-// reaches nextDeadline.
+// than earliest, whose time reaches nextDeadline.
 func (f *flows) scheduleExp(i, earliest int) {
 	s := &f.src[i]
-	at := 0
-	if d := s.nextDeadline; d <= float64(f.steps)*f.dt {
-		at = max(int(math.Ceil(d/f.dt)), 1)
-		for at > 1 && float64(at-1)*f.dt >= d {
-			at--
-		}
-		for float64(at)*f.dt < d {
-			at++
-		}
-		if at = max(at, earliest); at > f.steps {
-			at = 0
-		}
+	if at := dueStep(s.nextDeadline, f.dt, earliest, f.steps); at != s.expAt {
+		f.exp.file(i, s.expAt, at)
+		s.expAt = at
 	}
-	if at != 0 && at != s.expAt {
-		f.exp.push(flipEntry{t: float64(at), id: i})
-	}
-	s.expAt = at
 }
 
 // emitWait returns the first k in [1, limit] at which k additions of inc
 // bring credit c, below one segment, to a whole segment or more, or 0 if
-// none does.
+// none does. The memo's search runs to the run's last step, so it holds
+// for any limit.
 func (f *flows) emitWait(c float64, limit int) int {
-	switch {
-	case limit < 1:
-		return 0
-	case f.inc >= f.segmentBits:
-		return 1
-	case c == f.lastCredit && f.lastWait > 0:
-		if f.lastWait > limit {
-			return 0
+	k := 1
+	if f.inc < f.segmentBits {
+		if c != f.lastCredit || f.lastWait == 0 {
+			f.lastCredit, f.lastWait = c, 1+sort.Search(f.steps, func(j int) bool { return obs.AddN(c, f.inc, j+1) >= f.segmentBits })
+			f.lastSum = obs.AddN(c, f.inc, f.lastWait)
 		}
-		return f.lastWait
+		k = f.lastWait
 	}
-	k := 1 + sort.Search(limit, func(j int) bool { return obs.AddN(c, f.inc, j+1) >= f.segmentBits })
 	if k > limit {
 		return 0
 	}
-	f.lastCredit, f.lastWait = c, k
 	return k
 }
