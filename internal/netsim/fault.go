@@ -61,6 +61,32 @@ func (fc FaultConfig) Validate() error {
 	return nil
 }
 
+// MaxFaultFlips caps the fault-clock transitions a run is expected to
+// make, one RNG draw each. Validate takes any finite mean time, and a clock
+// with a tiny one flips about StepSec/mean times a step: a link MTTR of
+// 1e-300 s would need some 1e300 draws, and Run reads no context, so one
+// daemon request would hold its admission slot for good. Like
+// MaxOfferedSegments it is 2^24, 279× the largest expectation any
+// experiment, test, pin, example or benchmark runs (60,067: the
+// 50,000-satellite mega-constellation). A four-satellite ring expected to
+// make 2^24 flips runs in 0.3 s (2-vCPU Intel Xeon, Go 1.24.0).
+const MaxFaultFlips = 1 << 24
+
+// expectedFlips returns the transitions the clocks of links directed links
+// and sats satellites are expected to make in durationSec: a link goes down
+// and back up once per LinkMTTRSec/LinkOutage on average, a satellite once
+// per SatMTBFSec + SatMTTRSec.
+func (fc FaultConfig) expectedFlips(links, sats int, durationSec float64) float64 {
+	flips := 0.0
+	if fc.LinkOutage > 0 {
+		flips += float64(links) * 2 * durationSec * fc.LinkOutage / fc.LinkMTTRSec
+	}
+	if fc.SatMTBFSec > 0 {
+		flips += float64(sats) * 2 * durationSec / (fc.SatMTBFSec + fc.SatMTTRSec)
+	}
+	return flips
+}
+
 // linkMTBF derives the mean up-time that yields the configured stationary
 // outage fraction: down/(up+down) = f ⇒ up = MTTR·(1−f)/f.
 func (fc FaultConfig) linkMTBF() float64 {

@@ -176,6 +176,39 @@ func TestFaultConfigStationaryFraction(t *testing.T) {
 	}
 }
 
+// TestExpectedFlipsTracksFaultEvents checks the expectation Run bounds
+// with MaxFaultFlips against the transitions runs make: a ring's link
+// clocks at three outage fractions and its satellite clocks, each
+// expected to flip 2^17 times, count their fault events within 1% of it.
+func TestExpectedFlipsTracksFaultEvents(t *testing.T) {
+	const want = 1 << 17
+	sc := ringScenario(4)
+	g, err := BuildGraph(sc.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links, sats := len(g.Links), len(g.Sources)
+	var regimes []FaultConfig
+	for _, f := range []float64{0.05, 0.5, 0.9} {
+		regimes = append(regimes, FaultConfig{LinkOutage: f, LinkMTTRSec: float64(links) * 2 * sc.DurationSec * f / want})
+	}
+	mean := float64(sats) * sc.DurationSec / want // MTBF = MTTR
+	regimes = append(regimes, FaultConfig{SatMTBFSec: mean, SatMTTRSec: mean})
+	for _, fc := range regimes {
+		sc.Faults = fc
+		if got := fc.withDefaults().expectedFlips(links, sats, sc.DurationSec); math.Abs(got-want) > 1e-6*want {
+			t.Fatalf("%+v: expected %v flips, want %v", fc, got, want)
+		}
+		r, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%+v: %v", fc, err)
+		}
+		if math.Abs(float64(r.FaultEvents)-want) > 0.01*want {
+			t.Errorf("%+v: %d fault events, expected %d", fc, r.FaultEvents, want)
+		}
+	}
+}
+
 func TestFaultConfigValidate(t *testing.T) {
 	bad := []FaultConfig{
 		{LinkOutage: -0.1},

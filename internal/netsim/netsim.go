@@ -158,7 +158,8 @@ const exactBits = 1 << 53
 // segment size is a whole number of bits, the offered segments stay under
 // MaxOfferedSegments, and the per-step bit quantities stay under 2^53. An
 // over-cap load is a *DesignError, so a design search scores it infeasible
-// instead of failing.
+// instead of failing. Run also bounds the fault clocks' expected flips at
+// MaxFaultFlips, once the graph it builds gives the link count.
 func (sc Scenario) Validate() error {
 	if err := sc.Topology.Validate(); err != nil {
 		return err

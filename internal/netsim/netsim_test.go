@@ -282,6 +282,31 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("%s: error %v, want a load *DesignError", name, err)
 		}
 	}
+	// A fault regime expected to flip its clocks more than MaxFaultFlips
+	// times is the design's too: a tiny finite mean time would hold the run
+	// for about StepSec/mean draws a step.
+	for name, sc := range map[string]Scenario{
+		"link MTTR 1e-300 s": ringWith(func(sc *Scenario) { sc.Faults.LinkOutage, sc.Faults.LinkMTTRSec = 0.1, 1e-300 }),
+		"subnormal link MTTR": ringWith(func(sc *Scenario) {
+			sc.Faults.LinkOutage, sc.Faults.LinkMTTRSec = 0.1, math.SmallestNonzeroFloat64
+		}),
+		"satellite MTBF and MTTR 1e-300 s": ringWith(func(sc *Scenario) {
+			sc.Faults.SatMTBFSec, sc.Faults.SatMTTRSec = 1e-300, 1e-300
+		}),
+		"0.1% past the flip cap": atFlipCap(1.001),
+		"a 20,000-satellite ring at a 0.1 s link MTTR": ringWith(func(sc *Scenario) {
+			sc.Topology.Sats, sc.PerSat = 20000, units.Mbps
+			sc.Faults.LinkOutage, sc.Faults.LinkMTTRSec = 0.5, 0.1
+		}),
+		"a GEO star's satellites at 1 µs means": ringWith(func(sc *Scenario) {
+			sc.Topology.Kind, sc.Faults.SatMTBFSec, sc.Faults.SatMTTRSec = GEOStarTopology, 1e-6, 1e-6
+		}),
+	} {
+		var de *DesignError
+		if _, err := Run(sc); !errors.As(err, &de) || de.Field != "faults" {
+			t.Errorf("%s: error %v, want a faults *DesignError", name, err)
+		}
+	}
 	// A 2^52-bit segment and the caps themselves are accepted.
 	for name, sc := range map[string]Scenario{
 		"2^52-bit segments":       ringWith(func(sc *Scenario) { sc.SegmentBits = 1 << 52 }),
@@ -306,6 +331,19 @@ func atSegmentCap(ulps int) Scenario {
 		}
 		sc.PerSat, sc.SegmentBits = units.DataRate(rate), 1e6
 		sc.DurationSec, sc.WarmupSec = 0.25, 0.1
+	})
+}
+
+// atFlipCap returns a four-satellite ring whose link clocks are expected
+// to flip scale × MaxFaultFlips times.
+func atFlipCap(scale float64) Scenario {
+	return ringWith(func(sc *Scenario) {
+		g, err := BuildGraph(sc.Topology)
+		if err != nil {
+			panic(err)
+		}
+		sc.Faults.LinkOutage = 0.5
+		sc.Faults.LinkMTTRSec = float64(len(g.Links)) * 2 * sc.DurationSec * sc.Faults.LinkOutage / (scale * MaxFaultFlips)
 	})
 }
 

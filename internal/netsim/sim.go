@@ -40,6 +40,12 @@ func Run(scenario Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// The fault clocks are bounded here rather than in Validate, since
+	// their count is the built graph's.
+	if flips := sc.Faults.expectedFlips(len(g.Links), len(g.Sources), sc.DurationSec); !(flips <= MaxFaultFlips) {
+		return Result{}, designErrf("faults", "%d links and %d satellites over %v s are expected to make %.3g fault-clock flips, over the %d-flip ceiling",
+			len(g.Links), len(g.Sources), sc.DurationSec, flips, MaxFaultFlips)
+	}
 	steps := int(sc.DurationSec/sc.StepSec + 0.5)
 	fs := newFaultState(sc.Faults, sc.Topology, g, sc.Seed, sc.StepSec, steps)
 

@@ -438,7 +438,10 @@ func (f *flows) flip(id, step int) {
 // generate emits the segments of every source due at step: its credit is
 // brought up through step, adding inc once a step as obs.AddN sums, and its
 // whole segments leave as one run. A due source has waited emitWait(credit)
-// steps since settled, so the credit and its sum are a memo entry.
+// steps since settled, so the credit and its sum are a memo entry. Its
+// timer is refiled only when the release moved nextDeadline: generate runs
+// before expire, so a filed timer sits at this step or later, where
+// scheduleExp would file it again.
 func (f *flows) generate(step int, now float64, emit func(segRun)) {
 	for _, i := range f.gen.take(step, &f.due) {
 		s := &f.src[i]
@@ -446,9 +449,12 @@ func (f *flows) generate(step int, now float64, emit func(segRun)) {
 			f.lastCredit, f.lastWait, f.lastSum = s.credit, k, obs.AddN(s.credit, f.inc, k)
 		}
 		s.credit, s.settled, s.genAt = f.lastSum, step, 0
+		deadline := s.nextDeadline
 		s.release(now, emit)
 		f.scheduleGen(i)
-		f.scheduleExp(i, step)
+		if s.nextDeadline != deadline {
+			f.scheduleExp(i, step)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"sync"
 
 	"spacedc/internal/apps"
 	"spacedc/internal/econ"
@@ -123,15 +124,46 @@ type Score struct {
 	Objective float64 `json:"objective"`
 }
 
-// Evaluator scores candidate designs. It is safe for concurrent use: all
-// state after construction is read-only, and evaluation is a pure
-// function of the design, so results are independent of which worker
-// evaluates a candidate.
+// Evaluator scores candidate designs. It is safe for concurrent use, and
+// evaluation is a pure function of the design, so results are independent
+// of which worker evaluates a candidate. Its one mutable state is the
+// network memo: Evaluate runs netsim once per distinct netKey and reuses
+// the run's delivered rate, or its error, for every later design with the
+// same key. The key holds everything the per-plane run reads from a
+// design, so two designs share a run only when their runs would be equal.
 type Evaluator struct {
 	cfg EvalConfig
 	// env caches one orbit-propagated environment trace per altitude in
 	// the space, built up front so the parallel phase never writes.
 	env map[float64]*resilience.EnvTrace
+	// mu guards net, which maps a network key to its run. A run is filled
+	// once, by whichever worker first asks for it; the others wait.
+	mu  sync.Mutex
+	net map[netKey]*netRun
+}
+
+// netKey is what a design's per-plane netsim run reads from it: specFor's
+// inputs without the plane count, and the evaluation seed only when a
+// link outage makes the fault clocks draw. The plane count only bounds
+// the constellation against the node ceiling, which specFor checks before
+// the memo is consulted, and multiplies the delivered rate; devices and
+// recovery feed the compute side alone. InterShell is normalised as
+// specFor reads it: ignored at one shell, and anything but nearest is
+// aligned.
+type netKey struct {
+	shells, sats       int
+	altKm              float64
+	k, split, geoSinks int
+	nearest            bool
+	seed               int64
+}
+
+// netRun is one memoised network half: the per-plane delivered rate of a
+// netsim run, or the error the run failed with.
+type netRun struct {
+	once sync.Once
+	rate units.DataRate
+	err  error
 }
 
 // NewEvaluator validates the configuration and precomputes the
@@ -144,7 +176,7 @@ func NewEvaluator(cfg EvalConfig, space Space) (*Evaluator, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	ev := &Evaluator{cfg: cfg, env: make(map[float64]*resilience.EnvTrace)}
+	ev := &Evaluator{cfg: cfg, env: make(map[float64]*resilience.EnvTrace), net: make(map[netKey]*netRun)}
 	alts := append([]float64(nil), space.AltitudesKm...)
 	sort.Float64s(alts)
 	for _, alt := range alts {
@@ -209,6 +241,46 @@ func (ev *Evaluator) specFor(d econ.Design) (netsim.TopologySpec, error) {
 	return netsim.DesignShells(shells, kind, 0, ev.cfg.Tech)
 }
 
+// netKeyFor returns d's network key under the evaluator's configuration.
+func (ev *Evaluator) netKeyFor(d econ.Design) netKey {
+	k := netKey{shells: 1, sats: d.SatsPerPlane, altKm: d.AltitudeKm, k: d.K, split: d.Split, geoSinks: d.GEOSinks}
+	if d.Shells > 1 {
+		k.shells, k.nearest = d.Shells, d.InterShell == econ.InterShellNearest
+	}
+	if ev.cfg.LinkOutage > 0 {
+		k.seed = seedFor(d)
+	}
+	return k
+}
+
+// network returns the delivered rate of the netsim run on spec, d's
+// per-plane fabric, under seed, running it only when no earlier design of
+// this evaluator had d's key. netsim reads the seed only when a fault
+// clock draws, which here means a link outage, and then the key holds it.
+func (ev *Evaluator) network(d econ.Design, spec netsim.TopologySpec, seed int64) (units.DataRate, error) {
+	key := ev.netKeyFor(d)
+	ev.mu.Lock()
+	run := ev.net[key]
+	if run == nil {
+		run = new(netRun)
+		ev.net[key] = run
+	}
+	ev.mu.Unlock()
+	run.once.Do(func() {
+		res, err := netsim.Run(netsim.Scenario{
+			Topology:    spec,
+			PerSat:      ev.cfg.PerSat,
+			Faults:      netsim.FaultConfig{LinkOutage: ev.cfg.LinkOutage},
+			StepSec:     ev.cfg.NetStepSec,
+			EpochSec:    ev.cfg.NetEpochSec,
+			DurationSec: ev.cfg.NetDurationSec,
+			Seed:        seed,
+		})
+		run.rate, run.err = res.DeliveredRate, err
+	})
+	return run.rate, run.err
+}
+
 // structuralOK reports whether a design passes both validation layers
 // without running any simulation, for cheap proposal filtering.
 func (ev *Evaluator) structuralOK(d econ.Design) bool {
@@ -240,16 +312,7 @@ func (ev *Evaluator) Evaluate(d econ.Design) (Score, error) {
 
 	// Network side: one plane's fabric under the candidate's ISL budget,
 	// scaled by the plane count (planes are identical by construction).
-	res, err := netsim.Run(netsim.Scenario{
-		Name:        Key(d),
-		Topology:    spec,
-		PerSat:      ev.cfg.PerSat,
-		Faults:      netsim.FaultConfig{LinkOutage: ev.cfg.LinkOutage},
-		StepSec:     ev.cfg.NetStepSec,
-		EpochSec:    ev.cfg.NetEpochSec,
-		DurationSec: ev.cfg.NetDurationSec,
-		Seed:        seed,
-	})
+	rate, err := ev.network(d, spec, seed)
 	if err != nil {
 		// A load over netsim's caps is the design's, like a structural
 		// rejection: score it infeasible rather than fail the search.
@@ -259,7 +322,7 @@ func (ev *Evaluator) Evaluate(d econ.Design) (Score, error) {
 		}
 		return Score{}, fmt.Errorf("optimize: netsim for %s: %w", Key(d), err)
 	}
-	networkMbps := float64(res.DeliveredRate) / 1e6 * float64(d.Planes)
+	networkMbps := float64(rate) / 1e6 * float64(d.Planes)
 
 	// Compute side: one SµDC's device gang fed by its share of the
 	// satellites, under the candidate's recovery policy in the SAA-grazing
