@@ -17,7 +17,7 @@ func TestStudySearchAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const ceiling = 8306 * 1.01
+	const ceiling = 8210 * 1.01
 	cfg := OptimizeStudyConfig()
 	cfg.Workers = 1
 	space := optimize.DefaultSpace()

@@ -28,49 +28,49 @@ import (
 // degradation loop (every policy × campaign at two loads, result and
 // metrics snapshot).
 var pinnedComputeStage = map[string]string{
-	"qos/open/combined/0.5":                  "a4e77c715a061722fe8fe3916cc5dcd74bfe9c15d9114dcafc427b98d70fccb3",
-	"qos/open/combined/2":                    "f93392c37e9d06e69dbfd58f12bfd0a186b01e1269ba2f011348b68af28ab817",
-	"qos/open/ground-outage/0.5":             "0872f79e3b53da16629a78a7501edc0d5efbab10886ae0a5b3356cf9b9607c97",
-	"qos/open/ground-outage/2":               "7b7c1ced757ceef0abb1aba644b2b02cc407f2d1dc65da1d31f8c938e2f3cb9b",
-	"qos/open/none/0.5":                      "ba5264638083a4fb77c29a0c9706d3666607c7f9ebb6057b66a0d51888b9b68c",
-	"qos/open/none/2":                        "9490cd8c7016eba52865639cb5d25bb5606f771a2f35063945cb0544d9623453",
-	"qos/open/radiator-derate/0.5":           "7b3dbdf3a80594d5dc7b54fa33cc1da6819950ed1d52c848932b8f0149f750ba",
-	"qos/open/radiator-derate/2":             "832915badd5dbefbd255ee46f7ff394bfda640728e11ff62531ff828af850b36",
-	"qos/open/seu-burst/0.5":                 "0ce48ee79b8c654f28f912cf34355ef8df47e906f2342fb03361e1ef1c192a0c",
-	"qos/open/seu-burst/2":                   "e1cc4916bf3b99e9f9977bf7f06ee4d38cd74be862ded54d7e7705583f7cb282",
-	"qos/priority-retry/combined/0.5":        "127889ba1bb28aa05f81e8cb88484232c017f785546623c90bb03fee420c4627",
-	"qos/priority-retry/combined/2":          "e163ba0f236a03cfa1d9422c8b6b681286beaf618c6b20e504d531e5e05ed765",
-	"qos/priority-retry/ground-outage/0.5":   "ce33caa3ad6cbf5a0fb5c0237c8be0cd713e72dc4983d53e0760491b57d009fd",
-	"qos/priority-retry/ground-outage/2":     "636e185c7f000c52277cc2f452d3145207f4eecdec0e88b2290c4f7755b27f66",
-	"qos/priority-retry/none/0.5":            "e89bdc8f05ac015d223650ea6c02ea35073accb1da283b8efa9c3a4fca8f5671",
-	"qos/priority-retry/none/2":              "287d4a52a39866395c6aa7a1be7952a5f8ac80d5e39ad3b813fa3440d1999876",
-	"qos/priority-retry/radiator-derate/0.5": "b1fa850083476ffc83d26ef81a05f531d8a05f8688faa58815fcffd89dc81f41",
-	"qos/priority-retry/radiator-derate/2":   "9ca7204afa27b702b99af9cb169d930cc9a5d5264ff5ebf5479dace347907588",
-	"qos/priority-retry/seu-burst/0.5":       "31d4b5f311f5d66ad47cd590a4f181e313981b6cdf82a4ef48247bb0eae80310",
-	"qos/priority-retry/seu-burst/2":         "3a48ce15e49ec8cb9743b9fab7845b84aee702a77c6450bc80f5c53fab02211d",
-	"qos/priority/combined/0.5":              "6bbf3e93df7c4114caedc2ba66674bb5f32a9868df3921bd0c597718a7658823",
-	"qos/priority/combined/2":                "24f453e3606b45a777642aeab0ba65fb8c765200a5f10087e159a3d82342e2f3",
-	"qos/priority/ground-outage/0.5":         "1918eb3dbcb00dfecfdf0064b64c5dcd9f6f5b6260c76bf4320036231fb871d1",
-	"qos/priority/ground-outage/2":           "05e9390d066691c45f9baffcb3d243f32ad11397257c28bc75266bcc62e17dda",
-	"qos/priority/none/0.5":                  "86867a0a650abe7b87a55b70162989070b8ef852c126dcf49d00ffd89877e9e9",
-	"qos/priority/none/2":                    "22fc6934f436012fd126f82a42681b2b534e91e8a84c201e137c7bc772c560be",
-	"qos/priority/radiator-derate/0.5":       "512304b56ad8a46c0c0c9c9af9409a944718d2f1be0617882565231a2877b7b7",
-	"qos/priority/radiator-derate/2":         "08dc8153e2c8f6fdae7fa8a3effdd4a840577c2fd907fd190bb91bc2a66d35d5",
-	"qos/priority/seu-burst/0.5":             "1319d32b016e24c1da689c599131f900784b271deba8cf7017dff703ca868f28",
-	"qos/priority/seu-burst/2":               "68d16aae266d91e2d0b0007f4d1db63907c8695f4340c308ed158857b406a854",
-	"resilience/ISS-420":                     "942a71ae212ca20bac70291daf875d729ba47d406379eb077b25edbfaef56814",
-	"resilience/SSO-550":                     "8d716a2dfb173a2196d6ab2c8e2a494999ceb9f22dec12f9eb417a67a2f31436",
-	"resilience/equatorial-550":              "badcc321e6ead861b97aec9c37df86011cc86c9706dfe72451dd94fb41e637d0",
+	"qos/open/combined/0.5":                  "5b7e4b765f87eb549fd6901511adeee82d70f16bb67d2d081e2f921459201119",
+	"qos/open/combined/2":                    "c0a6986c0e7508aaa19d873331b4facff95a25918674d0bc7be0c68cd2a51f63",
+	"qos/open/ground-outage/0.5":             "ecb57b1427e2af79f9a92b87472d30712e59302d46bbce06d69232a0e8d4ff22",
+	"qos/open/ground-outage/2":               "8addfd491a13f147190913f81bc0f3c378066531ef29212abd5a28d06f2d6d2c",
+	"qos/open/none/0.5":                      "4024406bb97686592f7adc1e5e2a636c75c08821c59fba8940b396db2db80712",
+	"qos/open/none/2":                        "4303627e9a26504599539459213bade376265e3fd840aa500d1bfb2639aa3979",
+	"qos/open/radiator-derate/0.5":           "8c4afab36021f9274ff9183499e4f772c34332191d4bf2e8607e54f13dc28994",
+	"qos/open/radiator-derate/2":             "57a85c74244b5308a3f242b77706a61e186f173cba915fb46163dcdd868042f5",
+	"qos/open/seu-burst/0.5":                 "5304a23799629a6d84f28e2247d840067e2189d7a471c39e6bac250ed50d51eb",
+	"qos/open/seu-burst/2":                   "d6af70360aefd77d879b1449df82fa6282cfe8ad0f4b6a70a317d19de419ef91",
+	"qos/priority-retry/combined/0.5":        "f21aa1a6e5bc2da2a51728cac5715f05b2b234dcb217fd2b895fd8a3fcb907d8",
+	"qos/priority-retry/combined/2":          "f691c7422f29a52138cb6d5c861fd935d3b18f0ff4803c765a01334fef1cf929",
+	"qos/priority-retry/ground-outage/0.5":   "fd106bdf0eb75a60798abf99621b9dd07c98f9267f3c7775c0f009d76aa5f054",
+	"qos/priority-retry/ground-outage/2":     "4d6f8c49f33079569061c6ee3b648042653be9920b9b1f363441d02611683f03",
+	"qos/priority-retry/none/0.5":            "047be80e793624f8b4cebb2bed675fc140ff30e0c375f017b09f7293ffcd4d52",
+	"qos/priority-retry/none/2":              "02daeb786e9f97fda9885a53c9ba7f2f1f3befdc0fdee146e05610ce9a59b5b7",
+	"qos/priority-retry/radiator-derate/0.5": "dd08a61d74aa110e546d7361d28abef501b38655f71125704de570794b900326",
+	"qos/priority-retry/radiator-derate/2":   "2e4809c4138a245830e333455086dabeac153ac43c9eae76ad95b6d0934bd25e",
+	"qos/priority-retry/seu-burst/0.5":       "a880e73e659174f06d490d308273c9e8c69a9a16a6f1d549852a68eb1e676aa0",
+	"qos/priority-retry/seu-burst/2":         "470a331035a4c5fe210a94da6bf100751e6908a660a9383b4d4fac527174d645",
+	"qos/priority/combined/0.5":              "e8b0f748fe8261c2fcaecf2d98cb2e73847ea3c84f3737fa2386963dca27da44",
+	"qos/priority/combined/2":                "23112523493b3b8a554bef286657ae7c5a35ba1186a8c6bc383888eef2e5416f",
+	"qos/priority/ground-outage/0.5":         "a289ad8ecce9197566558e801c00d22ad362c671c9f5523a4f0340b9299085c6",
+	"qos/priority/ground-outage/2":           "7f738ef36364019b5094d7c4c9dc649fa33dcde50435909a647324f5cbcb74bd",
+	"qos/priority/none/0.5":                  "feb9c82ddcc9c5ae65c40a564b04db2974701391eb57771d13556aa95dcfbb34",
+	"qos/priority/none/2":                    "aab9d9b5de3d7dc87f858c857d34f23653d28d95d15aaefdd29d9d63bacc4b1c",
+	"qos/priority/radiator-derate/0.5":       "80ee769630a08576ed27dcb5c31a2a724e98112cc2819984b68a77bb960e9912",
+	"qos/priority/radiator-derate/2":         "306229217ef72069d49d0ff6639eeeeee8aefb15aaeb53109ff1811cf5110836",
+	"qos/priority/seu-burst/0.5":             "6179b698a74c8828ba18c2bfbb8b9e13f458f7a9dc8b3d336bfa9aa9d509b7b5",
+	"qos/priority/seu-burst/2":               "c42b79c2ec4eb8aa1854d468682c36e9df26118143506b8b72968b2b354feba5",
+	"resilience/ISS-420":                     "a9b66c1d6269342c197b133efc20f87c2c380c3773e879d3181ab76226fb8f2e",
+	"resilience/SSO-550":                     "7960a82afe1a03dd54c0b3e4fe5cf676aadd37671dcd69e63e8bc83fad3f63eb",
+	"resilience/equatorial-550":              "80dc67c855fffb62c98fab24e5b90c85cd0784310a264e3e87a215a27260e321",
 	"sched/batch-1":                          "08b5a84b984596788cd53cc553420c8da0a3e78b4b7805576eaef087a1449f91",
 	"sched/batch-16":                         "8d65230e098cbe171294b53d8920472a341670c48f17c71355ae704b040b1b43",
 	"sched/batch-32":                         "6bb1b4e0d11cfe7fd37ca3b082f1146f5503fba198038dbe14beb47893a7e32e",
 	"sched/batch-4":                          "0f66c01c58b1021126e56b7657ee86062354714dc6ffed4125838ac59cd3ee30",
 	"thermal/0.4/shed-false":                 "96808fa94a999cf8edde396385aa1395d462b7f0437fae9ef513f37d72123211",
-	"thermal/0.4/shed-true":                  "cde9bfda67052e641491a219e38bb065e6091885a3bfff456f5bbc475acd1b88",
+	"thermal/0.4/shed-true":                  "d32734fcf3784921de662628364e7920102d60bce0aa4558bf554b241b953711",
 	"thermal/0.6/shed-false":                 "94bedab9ecb407a11b87ad4e4895aa3555dc2297fe93e760378c2bd960b97185",
-	"thermal/0.6/shed-true":                  "e2ad23c26ed2f504a81b280880f3caf5737d833ad2555dedcbd322c9226784c4",
+	"thermal/0.6/shed-true":                  "f2b6d6da940ac0d1e020ab6ea87144b79935efad11b0412eed36f20b026eff86",
 	"thermal/1/shed-false":                   "b0fba33345197aaf09ee603d39bee03e3577fc31e67f2945252e9f134a20f13c",
-	"thermal/1/shed-true":                    "982d0efedc0db6e4e191a99f74e570d19cb1b834d99f007939d69a8ecaceb945",
+	"thermal/1/shed-true":                    "d29c1abeef7b4318a1f5cf259de02c1cf4b8ad12c4dc3b95dd20b77517d0da85",
 }
 
 // computeStageCases runs every pinned case and returns its rendering by
@@ -155,7 +155,11 @@ func computeStageCases(t *testing.T) map[string]string {
 
 // TestComputeStageOutputsPinned compares the compute stage's outputs with
 // digests recorded before sched and qos shared one batch executor, so a
-// refactor of either must leave every case bit-identical.
+// refactor of either must leave every case bit-identical. The cases that
+// draw were re-recorded once, when every engine moved to a PCG stream
+// drawn only where an output reads it, after a field-by-field diff against
+// the previous renderings; sched/batch-* and thermal/*/shed-false kept
+// theirs.
 func TestComputeStageOutputsPinned(t *testing.T) {
 	got := computeStageCases(t)
 	for name, rendering := range got {

@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"time"
 )
@@ -96,6 +96,16 @@ func (fc FaultConfig) linkMTBF() float64 {
 	return fc.LinkMTTRSec * (1 - fc.LinkOutage) / fc.LinkOutage
 }
 
+// streamNetsim is the PCG stream constant of the fault clocks' random
+// source, the ASCII of "netsim": the optimizer hands one seed to netsim and
+// to sched, and the two still draw independent streams.
+const streamNetsim = 0x6e657473696d
+
+// newFaultStream returns a run's one random stream for seed.
+func newFaultStream(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), streamNetsim))
+}
+
 // expSample draws an exponential holding time with the given mean.
 func expSample(rng *rand.Rand, mean float64) float64 {
 	if math.IsInf(mean, 1) {
@@ -164,7 +174,7 @@ type shadowArc struct {
 func newFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, seed int64, dt float64, steps int) *faultState {
 	fs := &faultState{cfg: cfg, dt: dt, steps: steps}
 	if cfg.LinkOutage > 0 || cfg.SatMTBFSec > 0 {
-		fs.rng = rand.New(rand.NewSource(seed))
+		fs.rng = newFaultStream(seed)
 	}
 	if cfg.EclipseOutage && ts.Tech.Optical {
 		for _, sh := range ts.stack() {

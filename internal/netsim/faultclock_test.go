@@ -83,8 +83,10 @@ func (h *flipHeap) popDue(now float64, due []int) []int {
 // refNewFaultState seeds the processes over g as newFaultState did before
 // the calendar: the eclipse arcs from newFaultState with the clocks off,
 // then every link, then every satellite, drawing its first transition time
-// from rng into the heaps.
-func refNewFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, rng *rand.Rand) *refFaultState {
+// into the heaps from the stream newFaultStream builds from seed, as the
+// engine does.
+func refNewFaultState(cfg FaultConfig, ts TopologySpec, g *Graph, seed int64) *refFaultState {
+	rng := newFaultStream(seed)
 	fs := &refFaultState{faultState: newFaultState(FaultConfig{EclipseOutage: cfg.EclipseOutage}, ts, g, 0, 1, 0)}
 	fs.cfg, fs.rng = cfg, rng
 	if cfg.LinkOutage > 0 {
@@ -239,7 +241,7 @@ func FuzzFaultClocks(f *testing.F) {
 			t.Fatal(err)
 		}
 		fs := newFaultState(cfg, ts, g, seed, dt, n)
-		rfs := refNewFaultState(cfg, ts, ref, rand.New(rand.NewSource(seed)))
+		rfs := refNewFaultState(cfg, ts, ref, seed)
 		for step := 1; step <= n; step++ {
 			now := float64(step) * dt
 			measure := rng.Intn(4) != 0

@@ -26,13 +26,22 @@ func latencyBucketWidth(v float64) float64 {
 	return b[i] - b[i-1]
 }
 
-// faultHeavyScenario drives heavy retransmission traffic: 5% per-link
-// outage on an RF ring keeps segments looping through timeout/backoff, so
-// the latency distribution grows a long tail — exactly the regime where
-// the retired O(delivered) latency slice grew without bound.
+// faultHeavyScenario drives heavy retransmission traffic: 20% per-link
+// outage with a 1 s mean repair on an RF ring keeps segments looping
+// through timeout/backoff, so the latency distribution grows a long tail —
+// exactly the regime where the retired O(delivered) latency slice grew
+// without bound. A satellite whose two outgoing links are down at once has
+// no route, so its segments drop and come back as retransmissions. The 8
+// satellites' outgoing pairs are disjoint, and each enters that state at
+// rate 2f²/MTTR = 0.08/s and holds it past a 0.1 s step boundary with
+// probability about e^-0.2. A drop registers a retransmission only when its
+// 5 s RTO expires inside the measured window, so the 45 s of drops that
+// count expect about 8 × 0.08 × 0.82 × 45 ≈ 24 such outages, and a run
+// with no retransmission has Poisson probability about e^-24 < 1e-10, at
+// any seed.
 func faultHeavyScenario() Scenario {
 	sc := ringScenario(8)
-	sc.Faults = FaultConfig{LinkOutage: 0.05, LinkMTTRSec: 10}
+	sc.Faults = FaultConfig{LinkOutage: 0.2, LinkMTTRSec: 1}
 	return sc
 }
 

@@ -77,7 +77,9 @@ type Scenario struct {
 	// means 10% of DurationSec.
 	WarmupSec float64
 	// Seed drives the link-outage and satellite-failure clocks, the run's
-	// only randomness; runs are deterministic given a seed.
+	// only randomness, through the one PCG stream newFaultStream builds
+	// from it; runs are deterministic given a seed. A run with neither
+	// clock draws nothing, so its seed changes nothing.
 	Seed int64
 	// fullRecompute makes every fault-driven routing update run the full
 	// multi-source BFS instead of the incremental repair path. Both paths

@@ -210,6 +210,37 @@ func Key(d econ.Design) string {
 	return k
 }
 
+// designKey is Key as a comparable value, built without formatting: two
+// designs have equal designKeys exactly when their Keys are equal. The
+// altitude is kept as its bits because %g tells 0 from -0. Search's score
+// cache and round filter and paretoFront's dedupe compare designs by it;
+// Key stays for what is printed, for seeding and for paretoFront's order.
+type designKey struct {
+	planes, sats       int
+	altBits            uint64
+	k, split, geoSinks int
+	devices            int
+	recovery           string
+	shells             int
+	inter              string
+}
+
+// designKeyOf returns d's designKey: Key's fields, with the shell count
+// and rule only above one shell and an empty rule read as aligned.
+func designKeyOf(d econ.Design) designKey {
+	k := designKey{
+		planes: d.Planes, sats: d.SatsPerPlane, altBits: math.Float64bits(d.AltitudeKm),
+		k: d.K, split: d.Split, geoSinks: d.GEOSinks, devices: d.DevicesPerSuDC, recovery: d.Recovery,
+	}
+	if d.Shells > 1 {
+		k.shells, k.inter = d.Shells, d.InterShell
+		if k.inter == "" {
+			k.inter = econ.InterShellAligned
+		}
+	}
+	return k
+}
+
 // seedFor derives the evaluation seed from the design content.
 func seedFor(d econ.Design) int64 {
 	h := fnv.New64a()

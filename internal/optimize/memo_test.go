@@ -38,6 +38,60 @@ func validDesigns(space Space, ev *Evaluator) []econ.Design {
 	return out
 }
 
+// TestDesignKeyMatchesKey checks designKey, which Search's score cache, its
+// round filter and paretoFront's dedupe compare designs by, against Key,
+// over every design() output of DefaultSpace, of shellSpace, and of a
+// space that repeats an altitude and a recovery, plus the spellings of a
+// single shell and of the aligned rule: equal Keys must go with equal
+// designKeys, and unequal with unequal.
+func TestDesignKeyMatchesKey(t *testing.T) {
+	dup := DefaultSpace()
+	dup.AltitudesKm = append(dup.AltitudesKm, 800)
+	dup.Recoveries = append(dup.Recoveries, econ.RecoveryRetry)
+	for _, tc := range []struct {
+		name     string
+		space    Space
+		distinct int
+	}{
+		{"default", DefaultSpace(), 2880},
+		{"shells", shellSpace(), 2880 * 5},
+		{"duplicated", dup, 2880},
+	} {
+		byKey := make(map[string]designKey)
+		byDesignKey := make(map[designKey]string)
+		check := func(d econ.Design) {
+			k, dk := Key(d), designKeyOf(d)
+			if prev, ok := byKey[k]; ok && prev != dk {
+				t.Fatalf("%s: Key %s has designKeys %+v and %+v", tc.name, k, prev, dk)
+			}
+			if prev, ok := byDesignKey[dk]; ok && prev != k {
+				t.Fatalf("%s: designKey %+v has Keys %s and %s", tc.name, dk, prev, k)
+			}
+			byKey[k], byDesignKey[dk] = dk, k
+		}
+		dims := tc.space.dims()
+		for n := range tc.space.Size() {
+			var v [axes]int
+			for a, r := axes-1, n; a >= 0; a-- {
+				v[a], r = r%dims[a], r/dims[a]
+			}
+			d := tc.space.design(v)
+			check(d)
+			e := d
+			if d.Shells <= 1 {
+				e.Shells, e.InterShell = 1, econ.InterShellNearest
+			} else if d.InterShell == econ.InterShellAligned {
+				e.InterShell = ""
+			}
+			check(e)
+		}
+		if len(byKey) != tc.distinct || len(byDesignKey) != tc.distinct {
+			t.Errorf("%s: %d Keys and %d designKeys over %d index vectors, want %d of each",
+				tc.name, len(byKey), len(byDesignKey), tc.space.Size(), tc.distinct)
+		}
+	}
+}
+
 // TestNetworkKeyCoversSpec checks the network key against the per-plane
 // spec it stands for, over every structurally valid design of DefaultSpace
 // and of shellSpace. Designs with equal keys must have equal specs, or the

@@ -31,14 +31,28 @@ func overCapSpace() Space {
 // candidate's objective. On testSpace every proposal is feasible; on
 // overCapSpace some are not, which drives both searches' infeasible
 // branches.
+//
+// The testSpace search exercises cache hits, rejections and restarts by
+// construction, at any seed. Its budget exceeds the valid designs, so some
+// proposal repeats a design. Each of its three greedy chains makes valid+2
+// proposals. Between restarts a chain accepts only strict improvements, so
+// it cannot accept valid moves in a row: by its second-to-last proposal it
+// has been rejected, or found no valid neighbour and restarted. At a
+// StalePatience of 1 a rejection makes the chain's next proposal a
+// restart, which is always accepted on this all-feasible space.
 func TestObsCountersMirrorOutcome(t *testing.T) {
+	ev, err := NewEvaluator(testEval(), testSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := len(validDesigns(testSpace(), ev))
 	for _, tc := range []struct {
 		name           string
 		cfg            Config
 		space          Space
 		wantInfeasible bool
 	}{
-		{"test-space", Config{Seed: 3, Budget: 24, Restarts: 3, Anneal: true, Eval: testEval()}, testSpace(), false},
+		{"test-space", Config{Seed: 3, Budget: 3 * (valid + 2), Restarts: 3, StalePatience: 1, Eval: testEval()}, testSpace(), false},
 		{"over-cap-load", Config{Seed: 1, Budget: 12, Restarts: 3, Eval: testEval()}, overCapSpace(), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,7 +92,8 @@ func TestObsCountersMirrorOutcome(t *testing.T) {
 				snap.Gauges[0].Value != instr.Best.Score.Objective {
 				t.Errorf("gauges %+v, want only optimize.best_objective = %v", snap.Gauges, instr.Best.Score.Objective)
 			}
-			// testSpace's run is long enough to restart a chain.
+			// testSpace's run hits the cache, rejects and restarts by
+			// construction (see above).
 			if instr.CacheHits == 0 || instr.Rejected == 0 || (!tc.wantInfeasible && instr.Restarts == 0) {
 				t.Errorf("search too easy to exercise the tallies: %+v", want)
 			}

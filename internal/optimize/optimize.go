@@ -8,18 +8,18 @@
 // survivability) against the internal/econ cost model, and fan out over
 // internal/pool.
 //
-// Determinism contract: every random draw for candidate i comes from an
-// RNG stream keyed by (seed, i), proposals are generated and accepted
-// serially in index order, and only the pure evaluation function runs in
-// parallel — so a search is bit-reproducible at any worker count, which
-// TestOptimizeBitIdentity locks down under -race.
+// Determinism contract: every random draw for candidate i comes from its
+// own PCG stream, built by rngFor from (seed, i), proposals are generated
+// and accepted serially in index order, and only the pure evaluation
+// function runs in parallel — so a search is bit-reproducible at any
+// worker count, which TestOptimizeBitIdentity locks down under -race.
 package optimize
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -294,9 +294,13 @@ func mix(seed int64, i int) int64 {
 	return int64(z & 0x7fffffffffffffff)
 }
 
-// rngFor returns candidate i's private RNG stream.
+// streamOptimize is the PCG stream constant of the proposals' random
+// sources, the ASCII of "optimize".
+const streamOptimize = 0x6f7074696d697a65
+
+// rngFor returns candidate i's private RNG stream, seeded by mix(seed, i).
 func rngFor(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(mix(seed, i)))
+	return rand.New(rand.NewPCG(uint64(mix(seed, i)), streamOptimize))
 }
 
 // randomValid draws a structurally valid index vector, or ok=false after
@@ -307,7 +311,7 @@ func randomValid(s Space, ev *Evaluator, rng *rand.Rand) ([axes]int, bool) {
 	for try := 0; try < 64; try++ {
 		var v [axes]int
 		for a := 0; a < active; a++ {
-			v[a] = rng.Intn(dims[a])
+			v[a] = rng.IntN(dims[a])
 		}
 		if ev.structuralOK(s.design(v)) {
 			return v, true
@@ -326,12 +330,12 @@ func neighbor(s Space, ev *Evaluator, v [axes]int, rng *rand.Rand) ([axes]int, b
 	dims := s.dims()
 	active := s.activeAxes()
 	for try := 0; try < 32; try++ {
-		a := rng.Intn(active)
+		a := rng.IntN(active)
 		if dims[a] < 2 {
 			continue
 		}
 		n := v
-		n[a] = rng.Intn(dims[a])
+		n[a] = rng.IntN(dims[a])
 		if n == v {
 			continue
 		}
@@ -391,7 +395,7 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 		return nil, err
 	}
 	chains := make([]chain, cfg.Restarts)
-	cache := make(map[string]Score)
+	cache := make(map[designKey]Score)
 	out := &Outcome{}
 	out.Best.Index = -1
 	// bestVec tracks the incumbent best's index vector for basin-hopping
@@ -421,7 +425,7 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 				// good region, while the other half stays a uniform random
 				// draw for diversification. Round-zero starts are always
 				// uniform.
-				if ch.started && out.Best.Index >= 0 && rng.Intn(2) == 0 {
+				if ch.started && out.Best.Index >= 0 && rng.IntN(2) == 0 {
 					v, ok = bestVec, true
 					for m := 0; m < 2; m++ {
 						if n, moved := neighbor(space, ev, v, rng); moved {
@@ -458,7 +462,7 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 		// registry is deliberately not passed to the pool: worker wall-time
 		// histograms would differ run to run.
 		type job struct {
-			key    string
+			key    designKey
 			design econ.Design
 			score  Score
 		}
@@ -466,10 +470,10 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 		// evalOwner maps a design key to the proposal index whose turn paid
 		// for its evaluation this round; every other proposal of the same
 		// design is a cache hit.
-		evalOwner := make(map[string]int)
+		evalOwner := make(map[designKey]int)
 		for _, p := range props {
 			d := space.design(p.vec)
-			k := Key(d)
+			k := designKeyOf(d)
 			if _, hit := cache[k]; hit {
 				continue
 			}
@@ -500,7 +504,7 @@ func Search(ctx context.Context, cfg Config, space Space) (*Outcome, error) {
 		// Acceptance plays back serially in proposal order.
 		for _, p := range props {
 			d := space.design(p.vec)
-			k := Key(d)
+			k := designKeyOf(d)
 			score := cache[k]
 			cand := Candidate{
 				Index: p.index, Chain: p.chain, Design: d, Score: score,
@@ -581,14 +585,15 @@ func accept(next, cur float64, cfg Config, proposals int, rng *rand.Rand) bool {
 }
 
 // paretoFront extracts the cost-vs-goodput frontier over distinct
-// feasible candidates: cheapest first, goodput strictly increasing.
+// feasible candidates: cheapest first, goodput strictly increasing, equal
+// costs in Key order.
 func paretoFront(trace []Candidate) []Candidate {
-	byKey := make(map[string]Candidate)
+	byKey := make(map[designKey]Candidate)
 	for _, c := range trace {
 		if !c.Score.Feasible {
 			continue
 		}
-		k := Key(c.Design)
+		k := designKeyOf(c.Design)
 		if _, ok := byKey[k]; !ok {
 			byKey[k] = c
 		}

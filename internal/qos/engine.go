@@ -3,7 +3,7 @@ package qos
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"spacedc/internal/obs"
 	"spacedc/internal/resilience"
@@ -160,7 +160,8 @@ type Scenario struct {
 	Governor *resilience.Governor
 	// Campaign is the fault schedule.
 	Campaign []Fault
-	// Seed drives retry jitter and fault sampling.
+	// Seed drives retry jitter and fault sampling, through the one PCG
+	// stream newStream builds from it. The workload carries its own seed.
 	Seed int64
 	// Obs, when non-nil, receives the run's metrics, per-step samples and
 	// the governor's instrumentation. Nothing the engine decides reads it,
@@ -333,6 +334,16 @@ type engine struct {
 	res      Result
 }
 
+// streamQoS is the PCG stream constant of the compute stage's random
+// source, the ASCII of "qos": a run whose workload seed equals its own
+// still draws upsets and jitter independently of the requests.
+const streamQoS = 0x716f73
+
+// newStream returns a run's one random stream for seed.
+func newStream(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), streamQoS))
+}
+
 // Run executes one scenario.
 func Run(sc Scenario) (Result, error) {
 	sc.Compute = sc.Compute.withDefaults()
@@ -356,7 +367,7 @@ func Run(sc Scenario) (Result, error) {
 		dev: sched.Device{
 			Proc:           sc.Compute.Proc,
 			PixelsPerFrame: sc.Compute.PixelsPerFrame,
-			Rng:            rand.New(rand.NewSource(sc.Seed)),
+			Rng:            newStream(sc.Seed),
 		},
 		retry:        sc.Policy.Retry,
 		scale:        1,

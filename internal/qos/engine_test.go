@@ -247,11 +247,15 @@ func TestEngineDegradationController(t *testing.T) {
 }
 
 // TestEngineSEURetry: an SEU burst corrupts batches; with retry the
-// affected requests are re-executed, without it they fail outright.
+// affected requests are re-executed, without it they fail outright. The
+// device is busy about 21 s of the burst's 60 s window (about 143 frames/s
+// offered to 400 frames/s), so a hazard of 1 upset per busy second expects
+// about 21 upsets per run, and a run without one has Poisson probability
+// about e^-21 < 1e-9, whatever the seed.
 func TestEngineSEURetry(t *testing.T) {
 	mk := func(policy Policy) Scenario {
 		sc := testScenario(policy)
-		sc.Campaign = mustCampaign(t, CampaignSEUBurst, 30, 60)
+		sc.Campaign = []Fault{{Kind: SEUBurst, StartSec: 30, EndSec: 90, HazardPerSec: 1}}
 		return sc
 	}
 	noRetry, err := Run(mk(mustPreset(t, PolicyPriority, 100)))

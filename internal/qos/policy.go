@@ -9,16 +9,16 @@
 // service pipeline — a network stage calibrated from netsim runs feeding a
 // compute stage that launches through sched's batch executor — and reports
 // per-class SLO attainment under overload and fault campaigns. Everything
-// is deterministic given a Scenario: one seeded rand.Rand drives retry
-// jitter and fault sampling, and the engine reads the governor directly at
-// a fixed point of each step, never a metrics registry, so runs are
+// is deterministic given a Scenario: one seeded PCG stream drives retry
+// jitter and fault sampling, and the engine reads the governor directly
+// at a fixed point of each step, never a metrics registry, so runs are
 // bit-identical at any worker count and with observability on or off.
 package qos
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // ClassPolicy is one priority class's token-bucket admission contract.

@@ -2,7 +2,6 @@ package qos
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -142,7 +141,7 @@ func TestAdmissionOpen(t *testing.T) {
 
 func TestRetryBackoff(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 4, BaseBackoffSec: 2, BackoffFactor: 3}.withDefaults()
-	rng := rand.New(rand.NewSource(1))
+	rng := newStream(1)
 	for n, want := range map[int]float64{1: 2, 2: 6, 3: 18} {
 		if got := p.backoff(n, rng); math.Abs(got-want) > 1e-9 {
 			t.Errorf("backoff(%d) = %v, want %v", n, got, want)

@@ -2,7 +2,7 @@ package resilience
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 
 	"spacedc/internal/sched"
@@ -21,9 +21,19 @@ func exec(hazard func(float64) float64) sched.BatchExec {
 		ResetMTTRSec:  30,
 	}
 	if hazard != nil {
-		e.Rng = rand.New(rand.NewSource(1))
+		e.Rng = rand.New(rand.NewPCG(1, 1))
 	}
 	return e
+}
+
+// scriptedSource is a rand.Source that returns its values in order and
+// panics past the last one, so a test names every draw a policy takes.
+type scriptedSource []uint64
+
+func (s *scriptedSource) Uint64() uint64 {
+	v := (*s)[0]
+	*s = (*s)[1:]
+	return v
 }
 
 // always upsets: the hazard is so high that P(clean pass) ≈ e^-2000.
@@ -104,10 +114,11 @@ func TestYoungDalyInterval(t *testing.T) {
 
 func TestCheckpointRecovers(t *testing.T) {
 	// A hazard of 0.8/s at launch sets the Young/Daly interval to
-	// √(2·0.1/0.8) = 0.5 s. Seed 4's first draw (an upset 0.27 s in)
-	// strikes the first segment, and the hazard clears before the redo,
-	// so only that segment is redone from the checkpoint instead of the
-	// whole batch.
+	// √(2·0.1/0.8) = 0.5 s. The source's one value, 0, makes the first
+	// exponential draw 0: an upset at the start of the first segment (the
+	// split is 0, so the upset takes no second draw). The hazard clears
+	// before the redo, so only that segment is redone from the checkpoint
+	// instead of the whole batch, and a further draw would panic.
 	gated := func(tm float64) float64 {
 		if tm < 100.6 {
 			return 0.8
@@ -115,7 +126,7 @@ func TestCheckpointRecovers(t *testing.T) {
 		return 0
 	}
 	e := exec(gated)
-	e.Rng = rand.New(rand.NewSource(4))
+	e.Rng = rand.New(&scriptedSource{0})
 	c := Checkpoint{CheckpointSec: 0.1, RestartSec: 0.1}
 	o := c.Execute(e)
 	if !o.Good {

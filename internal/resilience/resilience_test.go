@@ -129,11 +129,31 @@ func TestEvaluateAllDeterministic(t *testing.T) {
 	}
 }
 
+// ladderScenario differentiates the mitigation rungs by construction. Its
+// hazard sits in the SAA: 0.4 upsets per busy second inside, 2e-6 outside.
+// The 12,000 s run crosses the trace's one SAA pass (8,450–9,070 s) with
+// 2,900 s to spare, and the unmitigated device is busy about 83 s inside
+// it (2.67 frames/s of 0.05 s each), so it expects 33 upsets: a run
+// without corruption has Poisson probability e^-33 < 1e-14. One-frame
+// batches and a queue that never fills make a reset cost time but no
+// frames, so checkpoint and TMR process every frame and the goodput
+// ordering compares losses only corruption causes; retry loses a frame
+// only when three passes in a row are upset (below 1e-5 a frame).
+func ladderScenario(t *testing.T) Scenario {
+	sc := testScenario(t)
+	sc.Base.PixelsPerFrame = 1e5
+	sc.Base.TargetBatch = 1
+	sc.Base.QueueLimit = 100000
+	sc.Base.DurationSec = 12000
+	sc.Hazard = HazardModel{BaseRatePerSec: 2e-6, SAAMultiplier: 2e5}
+	return sc
+}
+
 // TestMitigationLadder checks the headline ordering on a hazard hot enough
 // to differentiate the rungs: stronger mitigation recovers at least as much
 // goodput and spends at least as much energy.
 func TestMitigationLadder(t *testing.T) {
-	sc := testScenario(t)
+	sc := ladderScenario(t)
 	byName := map[string]Report{}
 	reports, err := sc.EvaluateAll(StandardPolicies())
 	if err != nil {

@@ -3,7 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"spacedc/internal/apps"
 	"spacedc/internal/gpusim"
@@ -79,7 +79,7 @@ type Device struct {
 	PixelsPerFrame float64
 	Thermal        ThermalHook  // nil = never derated
 	Faults         *FaultConfig // nil = fault-free; only Hazard, the reset split and Recovery are read
-	Rng            *rand.Rand   // the run's single random source
+	Rng            *rand.Rand   // the run's one random stream; recovery policies draw from it through BatchExec
 
 	// Tallies over every launch: BusySec is occupancy less reset
 	// downtime, ThrottleSec the service time thermal derating added and

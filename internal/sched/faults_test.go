@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -234,4 +235,105 @@ func TestRunPassZeroHazardDrawsNothing(t *testing.T) {
 	if p := e.RunOnce(e.Start); p.Upset {
 		t.Errorf("NaN hazard should sanitize to zero: %+v", p)
 	}
+}
+
+// scriptedSource is a rand.Source that returns vals in order and panics
+// past the last one, so a test names every draw the code takes. The value
+// 0 makes an exponential draw 0 and a uniform draw 0.
+type scriptedSource struct {
+	vals []uint64
+	used int
+}
+
+func (s *scriptedSource) Uint64() uint64 {
+	v := s.vals[s.used]
+	s.used++
+	return v
+}
+
+// TestDrawsOnlyWhereDecided pins the rule that a draw happens only where
+// an output reads it: early discard draws only for a keep probability
+// strictly between 0 and 1, and an upset draws its kind only for a reset
+// split strictly between 0 and 1. Outside those ranges each decides as a
+// draw would have, without one.
+func TestDrawsOnlyWhereDecided(t *testing.T) {
+	for _, c := range []struct {
+		keep    float64
+		discard bool
+	}{{-1, true}, {0, true}, {1, false}, {1.5, false}, {math.NaN(), false}} {
+		if got := discarded(nil, c.keep); got != c.discard { // a nil stream panics on a draw
+			t.Errorf("keep %v: discarded %v, want %v", c.keep, got, c.discard)
+		}
+	}
+	src := &scriptedSource{vals: []uint64{0}}
+	if discarded(rand.New(src), 0.5) || src.used != 1 {
+		t.Errorf("keep 0.5 with the draw 0: want kept after one draw, took %d", src.used)
+	}
+	for _, c := range []struct {
+		split float64
+		reset bool
+		draws int
+	}{{0, false, 1}, {math.NaN(), false, 1}, {1, true, 1}, {0.5, true, 2}} {
+		src := &scriptedSource{vals: []uint64{0, 0}}
+		e := BatchExec{BaseSecs: 1, BaseJoules: 1, Hazard: constHazard(1), ResetFraction: c.split, ResetMTTRSec: 5, Rng: rand.New(src)}
+		p := e.RunOnce(0)
+		if !p.Upset || p.Reset != c.reset || src.used != c.draws {
+			t.Errorf("reset split %v: %+v after %d draws, want an upset, reset %v, %d draws", c.split, p, src.used, c.reset, c.draws)
+		}
+	}
+}
+
+// fixedService serves every batch in secs seconds.
+type fixedService struct{ secs float64 }
+
+func (p fixedService) Process(int, float64) (float64, float64) { return p.secs, p.secs }
+
+// TestUpsetCountMatchesHazard checks the upset sampling against its closed
+// form. Each run serves n one-frame batches of s seconds under a constant
+// hazard λ with no mitigation and no resets, so the batch schedule does
+// not depend on the draws, and each batch is upset independently with
+// probability p = 1 − e^(−λs). Over many seeds the mean upset count must
+// lie within 4 standard errors of n·p, and the share of runs with no upset
+// within 4 standard errors of (1 − p)^n = e^(−nλs).
+func TestUpsetCountMatchesHazard(t *testing.T) {
+	const (
+		seeds  = 4000
+		n      = 10  // batches per run: arrivals at 0, 1, …, 9 s
+		lambda = 0.2 // upsets per busy second
+		secs   = 0.5 // every batch's service time
+	)
+	cfg := Config{
+		Satellites:     1,
+		FramePeriodSec: 1,
+		PixelsPerFrame: 1,
+		TargetBatch:    1,
+		DurationSec:    n - 0.5,
+		Faults:         &FaultConfig{Hazard: constHazard(lambda)},
+	}
+	var sum float64
+	zero := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		cfg.Seed = seed
+		st, err := Simulate(cfg, fixedService{secs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Batches != n || st.Corrupted != st.Upsets || st.DeviceResets != 0 {
+			t.Fatalf("seed %d: %+v, want %d batches, one corrupt frame per upset and no reset", seed, st, n)
+		}
+		sum += float64(st.Upsets)
+		if st.Upsets == 0 {
+			zero++
+		}
+	}
+	p := 1 - math.Exp(-lambda*secs)
+	mean, wantMean := sum/seeds, n*p
+	if se := math.Sqrt(n * p * (1 - p) / seeds); math.Abs(mean-wantMean) > 4*se {
+		t.Errorf("mean upsets %.4f over %d seeds, want %.4f ± %.4f (4 standard errors)", mean, seeds, wantMean, 4*se)
+	}
+	share, q := float64(zero)/seeds, math.Exp(-n*lambda*secs)
+	if se := math.Sqrt(q * (1 - q) / seeds); math.Abs(share-q) > 4*se {
+		t.Errorf("%.4f of runs saw no upset, want %.4f ± %.4f (4 standard errors)", share, q, 4*se)
+	}
+	t.Logf("mean upsets %.4f (closed form %.4f), zero-upset share %.4f (closed form %.4f)", mean, wantMean, share, q)
 }

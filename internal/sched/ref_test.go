@@ -2,14 +2,15 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
 
 	"spacedc/internal/obs"
 )
 
 // This file keeps the heap-driven event loop Simulate ran before the frame
-// calendar replaced it, verbatim but for the returned count of tied pops:
-// refSimulate is the oracle FuzzSimulate checks Simulate against.
+// calendar replaced it, verbatim but for the returned count of tied pops
+// and for its random stream, which it takes from Simulate's own newStream
+// under the same keep rule (discarded): refSimulate is the oracle
+// FuzzSimulate checks Simulate against.
 
 // event kinds for the simulation heap.
 const (
@@ -94,7 +95,7 @@ func refSimulate(cfg Config, proc Processor) (Stats, int, error) {
 	if queueLimit == 0 {
 		queueLimit = 4 * cfg.Satellites
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newStream(cfg.Seed)
 
 	// Handles resolve once; with Obs == nil each instrumented site below
 	// is a single nil-check.
@@ -210,11 +211,7 @@ func refSimulate(cfg Config, proc Processor) (Stats, int, error) {
 		case evArrival:
 			// Schedule this satellite's next frame.
 			h.push(event{time: now + cfg.FramePeriodSec, kind: evArrival, sat: ev.sat})
-			keep := 1.0
-			if cfg.KeepProb != nil {
-				keep = cfg.KeepProb(ev.sat, now)
-			}
-			if rng.Float64() >= keep {
+			if cfg.KeepProb != nil && discarded(rng, cfg.KeepProb(ev.sat, now)) {
 				break // early-discarded on the EO satellite
 			}
 			stats.Arrived++

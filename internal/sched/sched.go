@@ -14,7 +14,7 @@ package sched
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"spacedc/internal/obs"
 )
@@ -37,8 +37,10 @@ type Config struct {
 	// resolution.
 	PixelsPerFrame float64
 	// KeepProb returns the probability that a satellite's frame survives
-	// early discard at simulation time t. Nil keeps everything. This is
-	// where per-satellite variation (ocean vs land, day vs night) enters.
+	// early discard at simulation time t. Nil keeps everything. Only a
+	// probability strictly between 0 and 1 takes a draw (see discarded).
+	// This is where per-satellite variation (ocean vs land, day vs night)
+	// enters.
 	KeepProb func(sat int, t float64) float64
 	// QueueLimit caps the on-board frame queue; arrivals beyond it are
 	// dropped (and counted). Zero means 4× Satellites.
@@ -53,8 +55,8 @@ type Config struct {
 	// DurationSec is the simulated span.
 	DurationSec float64
 	// Seed drives all randomness in the run: early-discard draws and fault
-	// sampling share one rand.Rand seeded here, so a (Config, Processor)
-	// pair is fully deterministic.
+	// sampling share one PCG stream built from it by newStream, so a
+	// (Config, Processor) pair is fully deterministic.
 	Seed int64
 	// Faults enables radiation-driven fault injection (nil = fault-free;
 	// a nil Faults run is bit-for-bit identical to the pre-fault model).
@@ -115,7 +117,7 @@ type ThermalHook interface {
 
 // BatchExec hands a RecoveryPolicy everything it needs to execute one
 // batch under upsets: the fault-free operating point, the hazard model,
-// and the simulation's single injected random source.
+// and the run's one random stream (Device.Rng).
 type BatchExec struct {
 	Start         float64 // launch time
 	BaseSecs      float64 // fault-free service time of one full pass
@@ -123,7 +125,7 @@ type BatchExec struct {
 	Hazard        func(t float64) float64
 	ResetFraction float64
 	ResetMTTRSec  float64
-	Rng           *rand.Rand
+	Rng           *rand.Rand // the run's one PCG stream, shared by every batch
 }
 
 // HazardAt returns the sanitized upset rate at time t.
@@ -150,9 +152,11 @@ type PassResult struct {
 // RunPass executes a compute slice of secs seconds / joules energy
 // starting at start, sampling at most one upset from the hazard rate. No
 // randomness is consumed when the hazard is zero, so zero-hazard runs
-// reproduce fault-free runs bit for bit. A silent upset lets the pass run
-// to completion (the device does not know); a reset truncates it at the
-// upset and adds ResetMTTRSec of downtime.
+// reproduce fault-free runs bit for bit. An upset draws its kind only when
+// ResetFraction lies strictly between 0 and 1; at 0 (or NaN) it is always
+// silent and at 1 always a reset, with no draw. A silent upset lets the
+// pass run to completion (the device does not know); a reset truncates it
+// at the upset and adds ResetMTTRSec of downtime.
 func (e BatchExec) RunPass(start, secs, joules float64) PassResult {
 	rate := e.HazardAt(start)
 	if rate <= 0 || secs <= 0 {
@@ -162,7 +166,11 @@ func (e BatchExec) RunPass(start, secs, joules float64) PassResult {
 	if u >= secs {
 		return PassResult{Secs: secs, Joules: joules}
 	}
-	if e.Rng.Float64() < e.ResetFraction {
+	reset := e.ResetFraction >= 1
+	if e.ResetFraction > 0 && e.ResetFraction < 1 {
+		reset = e.Rng.Float64() < e.ResetFraction
+	}
+	if reset {
 		return PassResult{
 			Secs:    u + e.ResetMTTRSec,
 			Joules:  joules * u / secs,
@@ -222,6 +230,27 @@ func (noMitigation) Execute(e BatchExec) BatchOutcome {
 	o.Accumulate(p)
 	o.Good = !p.Upset
 	return o
+}
+
+// streamSched is the PCG stream constant of Simulate's random source: the
+// ASCII of "sched". Engines that read one seed (optimize hands the same
+// seed to netsim and sched) then still draw independent streams.
+const streamSched = 0x7363686564
+
+// newStream returns the run's one random stream for seed.
+func newStream(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), streamSched))
+}
+
+// discarded decides whether an arrival whose frame survives early discard
+// with probability keep is discarded. It draws only when 0 < keep < 1, the
+// one range in which a draw can decide: keep ≤ 0 always discards, and keep
+// ≥ 1 or NaN always keeps, as rng.Float64() >= keep would.
+func discarded(rng *rand.Rand, keep float64) bool {
+	if keep > 0 && keep < 1 {
+		return rng.Float64() >= keep
+	}
+	return keep <= 0
 }
 
 // MaxSatellites caps Satellites, since Simulate queues one event per
@@ -381,7 +410,7 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 	if queueLimit == 0 {
 		queueLimit = 4 * cfg.Satellites
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newStream(cfg.Seed)
 
 	// Handles resolve once; with Obs == nil each instrumented site below
 	// is a single nil-check.
@@ -499,12 +528,8 @@ func Simulate(cfg Config, proc Processor) (Stats, error) {
 		}
 		if arrival {
 			cal.advance(now + cfg.FramePeriodSec)
-			keep := 1.0
-			if cfg.KeepProb != nil {
-				keep = cfg.KeepProb(next.sat, now)
-			}
 			switch {
-			case rng.Float64() >= keep:
+			case cfg.KeepProb != nil && discarded(rng, cfg.KeepProb(next.sat, now)):
 				// Early-discarded on the EO satellite.
 			case len(queue) >= queueLimit:
 				stats.Arrived++

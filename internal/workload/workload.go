@@ -8,9 +8,9 @@
 // streamed one request at a time: memory is O(bursts), never O(requests),
 // so a run can push millions of requests through the QoS layer without
 // materializing them, and New caps a run's candidate draws at MaxDraws.
-// Every draw comes from one seeded rand.Rand, so a spec (including its
-// seed) fully determines the stream — bit-identical across runs and worker
-// counts, the same contract the simulators keep.
+// Every draw comes from one PCG stream seeded from the spec (newStream), so
+// a spec (including its seed) fully determines the stream — bit-identical
+// across runs and worker counts, the same contract the simulators keep.
 //
 // Each request carries a priority class drawn from the spec's mix; the
 // class fixes its deadline (the per-class latency SLO), its network size
@@ -22,7 +22,7 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 )
 
@@ -86,8 +86,8 @@ type Spec struct {
 
 	// DurationSec bounds the stream.
 	DurationSec float64
-	// Seed drives all randomness; the stream is deterministic given the
-	// spec.
+	// Seed drives all randomness through the generator's one PCG stream
+	// (newStream); the stream is deterministic given the spec.
 	Seed int64
 }
 
@@ -178,6 +178,16 @@ type Generator struct {
 	nextOnset int
 }
 
+// streamWorkload is the PCG stream constant of a generator's random
+// source, the ASCII of "workload": a qos run whose own seed equals its
+// workload's still draws its requests independently of its upsets.
+const streamWorkload = 0x776f726b6c6f6164
+
+// newStream returns a generator's one random stream for seed.
+func newStream(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), streamWorkload))
+}
+
 // MaxDraws caps a run's expected candidate draws, the envelope rate ×
 // DurationSec: Next reads no context, so a high rate or a long duration
 // would hold a run, and a daemon admission slot, for hours. It is 18× the
@@ -193,7 +203,7 @@ func New(spec Spec) (*Generator, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{spec: sp, rng: rand.New(rand.NewSource(sp.Seed))}
+	g := &Generator{spec: sp, rng: newStream(sp.Seed)}
 	g.onsets = append(g.onsets, sp.BurstOnsets...)
 	sort.Float64s(g.onsets)
 
